@@ -278,6 +278,19 @@ def _eval_fixture(fx: Dict[str, Any]) -> Any:
     raise ValueError(f"unknown fixture kind {kind!r}")
 
 
+def _check_fixture(fx: Any, index: int) -> None:
+    """Reject a fixture whose id, kind, inputs or expected value is missing."""
+    if not isinstance(fx, dict):
+        raise TwistlabError(f"fixture at index {index} is not a JSON object")
+    name = fx.get("id")
+    label = repr(name) if isinstance(name, str) else f"at index {index}"
+    for key, kind in (("id", str), ("kind", str), ("inputs", dict)):
+        if not isinstance(fx.get(key), kind):
+            raise TwistlabError(f"fixture {label}: {key!r} must be a {kind.__name__}")
+    if "expected" not in fx:
+        raise TwistlabError(f"fixture {label}: no 'expected' value")
+
+
 def _cmd_verify(args: argparse.Namespace) -> Payload:
     if args.file is not None:
         try:
@@ -293,13 +306,20 @@ def _cmd_verify(args: argparse.Namespace) -> Payload:
             fixtures = json.loads(text)
         except json.JSONDecodeError as exc:
             raise TwistlabError(f"fixtures parse error at line {exc.lineno}: {exc.msg}")
+    if not isinstance(fixtures, list):
+        raise TwistlabError("fixtures file must hold a JSON list")
+    for index, fx in enumerate(fixtures):
+        _check_fixture(fx, index)
     seen = set()
     failures = []
     for fx in fixtures:
         if fx["id"] in seen:
             raise TwistlabError(f"duplicate fixture id {fx['id']!r}")
         seen.add(fx["id"])
-        got = _eval_fixture(fx)
+        try:
+            got = _eval_fixture(fx)
+        except KeyError as exc:
+            raise TwistlabError(f"fixture {fx['id']!r}: missing input {exc}")
         if got == fx["expected"]:
             print(f"ok   {fx['id']}", file=sys.stderr)
         else:

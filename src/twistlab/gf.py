@@ -87,14 +87,23 @@ def rank(a: np.ndarray, p: int) -> int:
 def nullspace(a: np.ndarray, p: int) -> np.ndarray:
     """Rows spanning {x : a @ x == 0 mod p}."""
     arr = _as_mod(a, p)
-    cols = arr.shape[1]
     red, piv = rref(arr, p)
-    free = [c for c in range(cols) if c not in set(piv)]
-    basis = np.zeros((len(free), cols), dtype=np.int64)
-    for k, f in enumerate(free):
-        basis[k, f] = 1
-        for i, c in enumerate(piv):
-            basis[k, c] = (-int(red[i, f])) % p
+    return _free_column_kernel(red, piv, p)
+
+
+def _free_column_kernel(red: np.ndarray, piv: list[int], p: int) -> np.ndarray:
+    """Kernel basis of a reduced echelon matrix: one row per free column.
+
+    Row k puts 1 on the k-th free column f and -red[i, f] on pivot column
+    piv[i]; rows of red past len(piv) are ignored.
+    """
+    cols = red.shape[1]
+    is_free = np.ones(cols, dtype=bool)
+    is_free[piv] = False
+    free = np.flatnonzero(is_free)
+    basis = np.zeros((free.size, cols), dtype=np.int64)
+    basis[np.arange(free.size), free] = 1
+    basis[:, piv] = np.mod(-red[: len(piv)][:, free].T, p)
     return basis
 
 
@@ -173,10 +182,4 @@ class Echelon:
         The stored rows are constraints c with x @ c^T == 0; equivalently the
         nullspace of the basis matrix acting on column vectors.
         """
-        free = [c for c in range(self.cols) if c not in set(self.pivots)]
-        out = np.zeros((len(free), self.cols), dtype=np.int64)
-        for k, f in enumerate(free):
-            out[k, f] = 1
-            for i, c in enumerate(self.pivots):
-                out[k, c] = (-int(self.basis[i, f])) % self.p
-        return out
+        return _free_column_kernel(self.basis, self.pivots, self.p)

@@ -11,8 +11,11 @@ Hom spaces between two modules use the fact that a Specht module is
 generated by its first standard polytabloid: spin that vector to a basis,
 record the spin tree, and a homomorphism is pinned down by the image of the
 seed, subject to one linear condition per non-spawning (vector, generator)
-pair.  A direct Kronecker-product solver and a permutation-module
-formulation are kept alongside as oracles for the fast path.
+pair.  The solver keeps the space of candidate seed images, spins it along
+the tree only as far as the next relations reach, and shrinks it after each
+batch of relations; that costs O(n_a k n_b^2) time and O(n_a k n_b) memory
+for k candidates, never the n_a n_b^2 table of every word on B.  A direct
+Kronecker-product solver is kept alongside as the oracle for the fast path.
 
 All partitions here are assumed to fit the configured permutation-module
 budget; TWISTLAB_MAX_DIM raises it when a run genuinely needs a module with
@@ -31,7 +34,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import Inconclusive, SizeMismatch, TooLarge, TwistlabError
-from .gf import Echelon, mm, nullspace, rank, rref_with_transform, solve_right
+from .gf import Echelon, mm, nullspace, rank, rref, rref_with_transform, solve_right
 from .partitions import Partition
 
 DEFAULT_MAX_DIM = 100_000
@@ -313,94 +316,135 @@ def build_specht(lam: Partition, p: int, max_dim: Optional[int] = None) -> Spech
 # -- Hom spaces ------------------------------------------------------------
 
 
+def _spin_basis(p: int, gens: list[np.ndarray]) -> tuple[np.ndarray, ...]:
+    """Spin e_0 to a basis under the two generators, breadth first.
+
+    Pair 2i + g stands for vector i times generator g.  Returns the spun
+    vectors as rows in spin order, the pair that spawned each (-1 for the
+    seed), and the pairs that spawned nothing with their images.  A whole
+    level of the tree is moved with one product per generator; the new
+    images, in the order a one-at-a-time spin meets them, are the pivot
+    columns of the transposed images once the span so far is projected away.
+    """
+    n = gens[0].shape[0]
+    vecs = np.zeros((n, n), dtype=np.int64)
+    vecs[0, 0] = 1
+    acc = Echelon(p, n)
+    acc.add(vecs[:1])
+    origin = [np.array([-1])]
+    spare: list[np.ndarray] = []
+    spare_img: list[np.ndarray] = []
+    done, count = 0, 1
+    while done < count:
+        moved = np.stack([mm(vecs[done:count], g, p) for g in gens], axis=1).reshape(-1, n)
+        reduced = acc.reduce(moved)
+        _, piv = rref(reduced.T, p)
+        fresh = np.zeros(len(moved), dtype=bool)
+        fresh[piv] = True
+        acc.add(reduced[fresh])
+        vecs[count : count + len(piv)] = moved[fresh]
+        pairs = 2 * done + np.arange(len(moved))
+        origin.append(pairs[fresh])
+        spare.append(pairs[~fresh])
+        spare_img.append(moved[~fresh])
+        done, count = count, count + len(piv)
+    if count < n:
+        raise TwistlabError("module is not generated by basis vector 0")
+    return vecs, np.concatenate(origin), np.concatenate(spare), np.concatenate(spare_img)
+
+
 def _spin_hom(p: int, gens_a: list[np.ndarray], gens_b: list[np.ndarray]) -> list[np.ndarray]:
-    """Hom space between modules, assuming A is generated by basis vector 0."""
+    """Hom space between modules, assuming A is generated by basis vector 0.
+
+    Spin e_0 under the generators of A to a basis v_0..v_{n_a-1}, recording
+    each new vector's parent and generator.  A homomorphism f is fixed by the
+    seed image x = e_0 f, since v_j f is x times the word of v_j in the
+    generators of B.  Every (vector, generator) pair that did not spawn a
+    basis vector is a relation v_i g = sum_j c_j v_j, which f must respect:
+    (v_i f) g = sum_j c_j (v_j f).
+
+    The candidate seed images are the rows of K (k x n_b, at first the
+    identity).  Their images on the spin basis are spun lazily along the
+    tree, a prefix of nodes at a time: relations are sorted by the last node
+    they touch, and each round doubles the spun prefix, imposes every
+    relation it now reaches with one product, and replaces K and the images
+    already spun by the kernel of those conditions.  Every relation is
+    imposed, so the result is exact.  The images of k candidates on n_a
+    nodes cost O(n_a k n_b^2) time and O(n_a k n_b) memory, and k collapses
+    after the first rounds.
+    """
     n_a = gens_a[0].shape[0]
     n_b = gens_b[0].shape[0]
 
-    seed = np.zeros(n_a, dtype=np.int64)
-    seed[0] = 1
-    acc = Echelon(p, n_a)
-    acc.add(seed[None, :])
-    vecs = [seed]
-    schedule: list[tuple[int, int]] = [(-1, -1)]
-    pending: list[tuple[int, int, np.ndarray]] = []
-    i = 0
-    while i < len(vecs):
-        for k in (0, 1):
-            w = mm(vecs[i][None, :], gens_a[k], p)[0]
-            if len(vecs) < n_a and acc.add(w[None, :]):
-                vecs.append(w)
-                schedule.append((i, k))
-            else:
-                pending.append((i, k, w))
-        i += 1
-    if len(vecs) < n_a:
-        raise TwistlabError("module is not generated by basis vector 0")
-
-    vmat = np.array(vecs, dtype=np.int64)
-    _, vinv, piv = rref_with_transform(vmat, p)
+    vecs, origin, spare, rel_img = _spin_basis(p, gens_a)
+    _, vinv, piv = rref_with_transform(vecs, p)
     if len(piv) != n_a:
         raise AssertionError("spin basis lost rank")
+    parent, step = origin // 2, origin % 2
+    rel_node, rel_step = spare // 2, spare % 2
+    coeff = mm(rel_img, vinv, p)
+    touched = coeff != 0
+    last = np.where(touched.any(axis=1), n_a - 1 - np.argmax(touched[:, ::-1], axis=1), 0)
+    reach = np.maximum(last, rel_node) + 1  # spun prefix a relation needs
+    order = np.argsort(reach, kind="stable")
+    reach = reach[order]
 
-    stack = np.zeros((n_a, n_b, n_b), dtype=np.int8)
-    stack[0] = np.eye(n_b, dtype=np.int8)
-    for j in range(1, n_a):
-        parent, k = schedule[j]
-        stack[j] = mm(stack[parent], gens_b[k], p).astype(np.int8)
-    flat = np.ascontiguousarray(stack.reshape(n_a, n_b * n_b))
-
-    # Seed-image conditions cut the candidate space down fast; most pending
-    # relations are redundant once it is small.  Stop there and finish with
-    # one exact equivariance solve on the remaining few dimensions instead of
-    # reducing hundreds of n_b x n_b blocks.
-    small_enough = 32
-    conditions = Echelon(p, n_b)
-    exhausted = True
-    for j, k, w in pending:
-        if n_b - conditions.rank <= small_enough:
-            exhausted = False
-            break
-        coeff = mm(w[None, :], vinv, p)
-        target = mm(coeff, flat, p).reshape(n_b, n_b)
-        block = np.mod(mm(stack[j], gens_b[k], p) - target, p)
-        conditions.add(block.T)
-        if conditions.rank == n_b:
+    # imgs[j, c] is the image of v_j under candidate c; imgs[0] is K
+    imgs = np.eye(n_b, dtype=np.int64)[None]
+    done = 0
+    while done < len(order):
+        spun = imgs.shape[0]
+        target = min(n_a, max(2 * spun, int(reach[done])))
+        if target > spun:
+            grown = np.empty((target, imgs.shape[1], n_b), dtype=np.int64)
+            grown[:spun] = imgs
+            imgs = grown
+            # parents never decrease in spin order, so the nodes whose parent
+            # is already spun are a prefix of the rest
+            while spun < target:
+                ready = spun + int(np.searchsorted(parent[spun:target], spun))
+                nodes = np.arange(spun, ready)
+                imgs[spun:ready] = _apply_steps(imgs, parent[nodes], step[nodes], gens_b, p)
+                spun = ready
+        hi = int(np.searchsorted(reach, target, side="right"))
+        batch = order[done:hi]
+        done = hi
+        k = imgs.shape[1]
+        moved = _apply_steps(imgs, rel_node[batch], rel_step[batch], gens_b, p)
+        combined = mm(coeff[batch, :target], imgs.reshape(target, k * n_b), p)
+        conditions = np.mod(moved - combined.reshape(len(batch), k, n_b), p)
+        cut = Echelon(p, k)
+        if not cut.add(conditions.transpose(0, 2, 1).reshape(-1, k)):
+            continue
+        keep = cut.kernel()
+        if keep.shape[0] == 0:
             return []
+        shrunk = mm(keep, imgs.transpose(1, 0, 2).reshape(k, target * n_b), p)
+        imgs = np.ascontiguousarray(shrunk.reshape(-1, target, n_b).transpose(1, 0, 2))
 
-    images = conditions.kernel()
-    if images.shape[0] == 0:
-        return []
-    sideways = np.ascontiguousarray(stack.transpose(1, 0, 2).reshape(n_b, n_a * n_b))
-    candidates = []
-    for w0 in images:
-        w_all = mm(w0[None, :], sideways, p).reshape(n_a, n_b)
-        candidates.append(mm(vinv, w_all, p))
+    k = imgs.shape[1]
+    maps = mm(vinv, imgs.reshape(n_a, k * n_b), p).reshape(n_a, k, n_b)
+    stacked = np.ascontiguousarray(maps.transpose(1, 0, 2)).reshape(k * n_a, n_b)
+    for g in (0, 1):
+        left = mm(gens_a[g], maps.reshape(n_a, k * n_b), p).reshape(n_a, k, n_b)
+        right = mm(stacked, gens_b[g], p).reshape(k, n_a, n_b).transpose(1, 0, 2)
+        if not np.array_equal(left, right):
+            raise AssertionError("candidate map failed the equivariance recheck")
+    return [np.ascontiguousarray(maps[:, c]) for c in range(k)]
 
-    if not exhausted:
-        residues = []
-        for f in candidates:
-            parts = [
-                np.mod(mm(gens_a[k], f, p) - mm(f, gens_b[k], p), p).ravel()
-                for k in (0, 1)
-            ]
-            residues.append(np.concatenate(parts))
-        combos = nullspace(np.array(residues, dtype=np.int64).T, p)
-        homs = []
-        for x in combos:
-            f = np.zeros((n_a, n_b), dtype=np.int64)
-            for xi, cand in zip(x, candidates):
-                if xi:
-                    f = np.mod(f + int(xi) * cand, p)
-            homs.append(f)
-    else:
-        homs = candidates
 
-    for f in homs:
-        for k in (0, 1):
-            if not np.array_equal(mm(gens_a[k], f, p), mm(f, gens_b[k], p)):
-                raise AssertionError("candidate map failed the equivariance recheck")
-    return homs
+def _apply_steps(
+    imgs: np.ndarray, nodes: np.ndarray, steps: np.ndarray, gens: list[np.ndarray], p: int
+) -> np.ndarray:
+    """imgs[nodes[r]] @ gens[steps[r]] for every r, one product per generator."""
+    _, k, n = imgs.shape
+    out = np.empty((len(nodes), k, n), dtype=np.int64)
+    for g in (0, 1):
+        sel = np.flatnonzero(steps == g)
+        if sel.size:
+            moved = mm(imgs[nodes[sel]].reshape(-1, n), gens[g], p)
+            out[sel] = moved.reshape(sel.size, k, n)
+    return out
 
 
 def _kron_hom(p: int, gens_a: list[np.ndarray], gens_b: list[np.ndarray]) -> list[np.ndarray]:
@@ -433,31 +477,6 @@ def hom_space_direct(a: SpechtModule, b: SpechtModule) -> list[np.ndarray]:
     """Kronecker-stack solver; quadratic unknowns, for cross-checks."""
     _require_compatible(a, b)
     return _kron_hom(a.p, a.generators(), b.generators())
-
-
-def hom_space_in_perm(a: SpechtModule, b: SpechtModule) -> int:
-    """Dimension of maps S^a -> M^b with image inside S^b (small cases only).
-
-    An independent formulation: unknowns live in the permutation module of b,
-    with explicit row-space membership constraints instead of b's basis.
-    """
-    _require_compatible(a, b)
-    p = a.p
-    n_a = a.dim
-    m_b = b.perm_dim
-    gens_a = a.generators()
-    eye_a = np.eye(n_a, dtype=np.int64)
-    blocks = []
-    for k in (0, 1):
-        sigma = b._sk.sigma[k]
-        perm = np.zeros((m_b, m_b), dtype=np.int64)
-        perm[np.arange(m_b), sigma] = 1
-        blocks.append(np.kron(gens_a[k], np.eye(m_b, dtype=np.int64)) - np.kron(eye_a, perm.T))
-    outside = nullspace(b.basis, p)  # rows x with B x == 0
-    if outside.shape[0]:
-        blocks.append(np.kron(eye_a, outside))
-    kernel = nullspace(np.vstack(blocks), p)
-    return kernel.shape[0]
 
 
 def hom_dim(a: SpechtModule, b: SpechtModule) -> int:

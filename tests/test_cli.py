@@ -204,6 +204,28 @@ def test_verify_reports_parse_errors_with_line_numbers(tmp_path, capsys):
     assert "line 2" in err
 
 
+@pytest.mark.parametrize(
+    "fixtures, named",
+    [
+        ([{"id": "x", "inputs": {}}], "'x'"),
+        ([{"id": "x", "kind": "tau", "expected": [4]}], "'x'"),
+        ([{"id": "x", "kind": "tau", "inputs": {"p": 5}}], "'x'"),
+        ([{"id": "x", "kind": "tau", "inputs": {"p": 5}, "expected": [4]}], "'x'"),
+        ([{"kind": "tau", "inputs": {}, "expected": []}], "index 0"),
+        ([7], "index 0"),
+        ({"id": "x"}, "JSON list"),
+    ],
+)
+def test_verify_rejects_malformed_fixtures(tmp_path, capsys, fixtures, named):
+    path = tmp_path / "fx.json"
+    path.write_text(json.dumps(fixtures))
+    code, out, err = run_cli(capsys, "verify", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("TwistlabError: ")
+    assert named in err
+
+
 def test_console_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "twistlab.cli", "tau", "--p", "5", "--n", "10"],

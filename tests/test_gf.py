@@ -90,3 +90,32 @@ def test_rank_is_transpose_invariant(rows, data):
     )
     a = np.array(cells, dtype=np.int64).reshape(rows, cols)
     assert rank(a, p) == rank(a.T, p)
+
+
+def _loop_kernel(red, piv, cols, p):
+    """Reference: the free-column kernel filled entry by entry."""
+    free = [c for c in range(cols) if c not in set(piv)]
+    out = np.zeros((len(free), cols), dtype=np.int64)
+    for k, f in enumerate(free):
+        out[k, f] = 1
+        for i, c in enumerate(piv):
+            out[k, c] = (-int(red[i, f])) % p
+    return out
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_kernels_match_the_loop_reference_bit_for_bit(p):
+    rng = np.random.default_rng(17 + p)
+    for rows, cols in [(0, 4), (3, 0), (4, 4), (5, 12), (12, 5), (9, 9)]:
+        a = random_matrix(rng, rows, cols, p)
+        if rows and cols:
+            a[:, rng.integers(0, cols)] = 0  # a zero column is always free
+        red, piv = rref(a, p)
+        got = nullspace(a, p)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, _loop_kernel(red, piv, cols, p))
+        ech = Echelon(p, cols)
+        ech.add(a)
+        kern = ech.kernel()
+        assert np.array_equal(kern, _loop_kernel(ech.basis, ech.pivots, cols, p))
+        assert np.array_equal(kern, got)

@@ -1,11 +1,16 @@
 from math import factorial
 
+import numpy as np
 import pytest
 
+from twistlab import specht
 from twistlab.criteria import h0_specht_nonzero
-from twistlab.errors import SizeMismatch, TooLarge
+from twistlab.errors import SizeMismatch, TooLarge, TwistlabError
+from twistlab.gf import Echelon, mm, rank
 from twistlab.partitions import Partition, enumerate_partitions
 from twistlab.specht import (
+    _spin_basis,
+    _spin_hom,
     build_specht,
     end_ring,
     h0_dim,
@@ -43,22 +48,88 @@ def test_dimension_is_independent_of_the_prime():
 
 def test_generators_are_invertible_permutation_actions():
     module = build_specht(Partition((3, 2)), 3)
-    import numpy as np
-
-    from twistlab.gf import mm, rank
-
     for g in module.generators():
         assert g.shape == (module.dim, module.dim)
         assert rank(np.asarray(g), 3) == module.dim
 
 
+def _same_span(first, second, p):
+    if len(first) != len(second):
+        return False
+    if not first:
+        return True
+    rows_a = np.array([f.ravel() for f in first])
+    rows_b = np.array([f.ravel() for f in second])
+    both = rank(np.vstack([rows_a, rows_b]), p)
+    return rank(rows_a, p) == rank(rows_b, p) == both == len(first)
+
+
 def test_hom_methods_agree_on_small_pairs():
-    for p in (2, 3):
-        for d in (4, 5):
-            mods = [build_specht(lam, p) for lam in enumerate_partitions(d, "all")]
-            for a in mods:
-                for b in mods:
-                    assert len(hom_space(a, b)) == len(hom_space_direct(a, b))
+    cases = [(p, d) for p in (2, 3, 5) for d in range(1, 6)] + [(2, 6)]
+    for p, d in cases:
+        mods = [build_specht(lam, p) for lam in enumerate_partitions(d, "all")]
+        for a in mods:
+            for b in mods:
+                assert _same_span(hom_space(a, b), hom_space_direct(a, b), p), (a, b)
+
+
+def _one_at_a_time_spin(p, gens):
+    """Reference: spin e_0 vector by vector, testing each image on its own."""
+    n = gens[0].shape[0]
+    seed = np.zeros(n, dtype=np.int64)
+    seed[0] = 1
+    acc = Echelon(p, n)
+    acc.add(seed[None, :])
+    vecs, origin, spare, spare_img = [seed], [-1], [], []
+    i = 0
+    while i < len(vecs):
+        for g in (0, 1):
+            w = mm(vecs[i][None, :], gens[g], p)[0]
+            if len(vecs) < n and acc.add(w[None, :]):
+                vecs.append(w)
+                origin.append(2 * i + g)
+            else:
+                spare.append(2 * i + g)
+                spare_img.append(w)
+        i += 1
+    return np.array(vecs), np.array(origin), np.array(spare), np.array(spare_img)
+
+
+def test_level_spin_matches_one_at_a_time_spin():
+    cases = [
+        (lam, p) for p in (2, 3, 5) for d in range(1, 7) for lam in enumerate_partitions(d, "all")
+    ]
+    cases += [(Partition((4, 3, 1, 1)), 2), (Partition((6, 1, 1, 1)), 3)]
+    for lam, p in cases:
+        gens = build_specht(lam, p).generators()
+        got = _spin_basis(p, gens)
+        want = _one_at_a_time_spin(p, gens)
+        assert all(np.array_equal(x, y) for x, y in zip(got, want)), (lam, p)
+
+
+def test_hom_needs_a_module_generated_by_its_first_basis_vector():
+    # two copies of the trivial module: e_0 spans only the first one
+    eye = np.eye(2, dtype=np.int64)
+    with pytest.raises(TwistlabError, match="not generated by basis vector 0"):
+        _spin_hom(3, [eye, eye], [eye, eye])
+
+
+@pytest.mark.parametrize("lam", [(8, 1, 1, 1), (10, 1, 1, 1)])
+def test_end_ring_never_builds_the_spin_stack(monkeypatch, lam):
+    # the images of every candidate on every spin vector would be a
+    # dim x dim x dim stack; no product may come near that size
+    module = build_specht(Partition(lam), 2)
+    n = module.dim
+    module.generators()
+    largest = []
+
+    def watched(a, b, p):
+        largest.append(max(np.asarray(a).size, np.asarray(b).size))
+        return mm(a, b, p)
+
+    monkeypatch.setattr(specht, "mm", watched)
+    assert len(end_ring(module)) == 2
+    assert max(largest) < n**3 / 8
 
 
 def test_hom_requires_matching_symmetric_group():
