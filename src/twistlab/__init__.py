@@ -19,7 +19,6 @@ from .errors import (
     InvalidSymbol,
     NoInsertion,
     NonPartitionDifference,
-    NoPAdicExpansion,
     NotDistinctParts,
     NotPRegular,
     NotPRestricted,
@@ -52,7 +51,6 @@ __all__ = [
     "MullineuxSymbol",
     "NoInsertion",
     "NonPartitionDifference",
-    "NoPAdicExpansion",
     "NotDistinctParts",
     "NotPRegular",
     "NotPRestricted",

@@ -14,7 +14,7 @@ import io
 import json
 import sys
 from importlib import resources
-from typing import Any, Dict, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
 from .abacus import is_p_by_p, p_core, to_abacus
 from .criteria import (
@@ -203,19 +203,28 @@ def _cmd_specht_h0(args: argparse.Namespace) -> Payload:
     return payload, 0
 
 
+# scan name -> (function, its leading arguments as fixture input keys, takes jobs)
+_SCANS: Dict[str, Tuple[Callable[..., SearchReport], Tuple[str, ...], bool]] = {
+    "fixed-points": (find_twist_commuting, ("d", "p"), True),
+    "persistence": (check_twist_persistence, ("d", "p"), True),
+    "p-image": (find_p_image, ("d", "p"), True),
+    "multi-twist": (multi_twist_scan, ("lambda", "p", "max_b"), False),
+    "ks-stability": (ks_stability_scan, ("d", "p"), True),
+    "census": (census, ("d", "p"), False),
+}
+
+
+def _run_scan(which: str, inputs: Dict[str, Any], jobs: int = 1) -> SearchReport:
+    if which not in _SCANS:
+        raise TwistlabError(f"unknown search {which!r}")
+    scan, keys, sharded = _SCANS[which]
+    values = [Partition(inputs[k]) if k == "lambda" else inputs[k] for k in keys]
+    return scan(*values, jobs=jobs) if sharded else scan(*values)
+
+
 def _cmd_search(args: argparse.Namespace) -> Payload:
-    if args.which == "fixed-points":
-        report = find_twist_commuting(args.d, args.p, jobs=args.jobs)
-    elif args.which == "persistence":
-        report = check_twist_persistence(args.d, args.p, jobs=args.jobs)
-    elif args.which == "p-image":
-        report = find_p_image(args.d, args.p, jobs=args.jobs)
-    elif args.which == "multi-twist":
-        report = multi_twist_scan(args.lam, args.p, args.max_b)
-    elif args.which == "ks-stability":
-        report = ks_stability_scan(args.d, args.p, jobs=args.jobs)
-    else:
-        report = census(args.d, args.p)
+    inputs = {**vars(args), "lambda": getattr(args, "lam", None)}
+    report = _run_scan(args.which, inputs, getattr(args, "jobs", 1))
     return report, 2 if report.counterexamples else 0
 
 
@@ -258,17 +267,7 @@ def _eval_fixture(fx: Dict[str, Any]) -> Any:
             out["end_dim"] = len(end_ring(module))
         return out
     if kind == "search":
-        which = inputs["search"]
-        if which == "fixed-points":
-            report = find_twist_commuting(inputs["d"], inputs["p"])
-        elif which == "multi-twist":
-            report = multi_twist_scan(Partition(inputs["lambda"]), inputs["p"], inputs["max_b"])
-        elif which == "ks-stability":
-            report = ks_stability_scan(inputs["d"], inputs["p"])
-        elif which == "persistence":
-            report = check_twist_persistence(inputs["d"], inputs["p"])
-        else:
-            raise ValueError(f"fixture references unknown search {which!r}")
+        report = _run_scan(inputs["search"], inputs)
         out = {"hit_count": len(report.hits), "counterexamples": len(report.counterexamples)}
         if "pairs" in fx["expected"]:
             out["pairs"] = sorted([h["a"], h["b"]] for h in report.hits)
@@ -491,22 +490,15 @@ def _build_parser() -> _Parser:
 
     search = commands.add_parser("search", help="exhaustive scans with audited reports")
     search_sub = search.add_subparsers(dest="which", required=True, metavar="SCAN")
-    for name, needs in (
-        ("fixed-points", "dp"),
-        ("persistence", "dp"),
-        ("p-image", "dp"),
-        ("multi-twist", "lp"),
-        ("ks-stability", "dp"),
-        ("census", "d"),
-    ):
+    for name, (_, keys, sharded) in _SCANS.items():
         scan = search_sub.add_parser(name)
         scan.add_argument("--p", type=int, required=True)
-        if "d" in needs:
+        if "d" in keys:
             scan.add_argument("--d", type=int, required=True)
-        if "l" in needs:
+        if "lambda" in keys:
             _add_lambda(scan)
             scan.add_argument("--max-b", dest="max_b", type=int, required=True)
-        if needs == "dp" and name != "census":
+        if sharded:
             scan.add_argument("--jobs", type=int, default=1)
         _add_common(scan)
         scan.set_defaults(handler=_cmd_search, which=name)

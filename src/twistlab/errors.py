@@ -20,10 +20,6 @@ class NotDistinctParts(TwistlabError):
     """An operation needed all nonzero parts distinct, and they were not."""
 
 
-class NoPAdicExpansion(TwistlabError):
-    """The row-wise base-p digit layers of a partition are not all partitions."""
-
-
 class Overflow(TwistlabError):
     """An arithmetic result left the safe integer range for array kernels."""
 

@@ -9,12 +9,10 @@ strict: values are immutable, canonical (no trailing zeros) and bounded to
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
 from .errors import (
     NonPartitionDifference,
-    NoPAdicExpansion,
     NotDistinctParts,
     Overflow,
 )
@@ -190,48 +188,6 @@ def l_p(t: int, p: int) -> int:
         power *= p
         level += 1
     return level
-
-
-@dataclass(frozen=True)
-class PAdicDigits:
-    """Row-wise base-p digit layers of a partition.
-
-    digits[i] is the partition of i-th base-p digits of the rows; the layers
-    reconstruct the source as sum of p**i * digits[i].
-    """
-
-    p: int
-    digits: tuple[Partition, ...]
-
-    def reconstruct(self) -> Partition:
-        acc = Partition()
-        for i, layer in enumerate(self.digits):
-            acc = acc.add(layer.scale(self.p**i))
-        return acc
-
-
-def p_adic_expansion(mu: Partition, p: int) -> PAdicDigits:
-    """Split mu into base-p digit layers, row by row.
-
-    Fails with NoPAdicExpansion unless every digit layer is itself a
-    partition; when it succeeds each layer is automatically p-restricted.
-    """
-    if p < 2:
-        raise ValueError("p must be at least 2")
-    rows = list(mu.parts)
-    layers: list[Partition] = []
-    i = 0
-    while any(rows):
-        digit_row = [r % p for r in rows]
-        for j in range(1, len(digit_row)):
-            if digit_row[j] > digit_row[j - 1]:
-                raise NoPAdicExpansion(
-                    f"digit layer {i} of {mu} is not weakly decreasing"
-                )
-        layers.append(Partition(digit_row))
-        rows = [r // p for r in rows]
-        i += 1
-    return PAdicDigits(p, tuple(layers))
 
 
 def enumerate_partitions(

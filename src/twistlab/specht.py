@@ -7,6 +7,19 @@ tabloid basis, form the rows of an embedding matrix B; expressing permuted
 rows of B in terms of B again yields the generator matrices of the module on
 its own basis, with no straightening at any point.
 
+Coordinates in B need only the dim x dim block of B on the tabloids {t} of
+the standard tableaux t.  {t} is the dominance-largest tabloid of e_t
+(James, LNM 682, section 8) and the tableaux are listed in an order that
+extends dominance, so the block is upper unitriangular over Z, invertible
+mod every p, and row-reduces with almost no fill.  The combinatorial layer
+(tabloid codes, generator actions, B over Z) does not depend on p and is
+cached up to a fixed number of bytes.
+
+M^lambda is a transitive permutation module, so its fixed vectors are the
+multiples of the all-ones vector; the fixed space of S^lambda is therefore
+at most a line, and it is a line exactly when the all-ones vector lies in
+the row space of B.
+
 Hom spaces between two modules use the fact that a Specht module is
 generated by its first standard polytabloid: spin that vector to a basis,
 record the spin tree, and a homomorphism is pinned down by the image of the
@@ -27,9 +40,9 @@ from __future__ import annotations
 import itertools
 import math
 import os
+from collections import OrderedDict, namedtuple
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -38,7 +51,10 @@ from .gf import Echelon, mm, nullspace, rank, rref, rref_with_transform, solve_r
 from .partitions import Partition
 
 DEFAULT_MAX_DIM = 100_000
-_CHUNK = 16_384
+# bytes of skeleton arrays kept between calls: every skeleton h0_dim builds
+# up to degree 10 (about 51 MB) fits, so a loop with the prime outermost
+# builds each shape once
+_SKELETON_CACHE_BYTES = 64 * 2**20
 
 
 def perm_module_dim(lam: Partition) -> int:
@@ -59,36 +75,6 @@ def hook_length_dim(lam: Partition) -> int:
         for j in range(row):
             prod *= row - j + conj[j] - i - 1
     return math.factorial(lam.size) // prod
-
-
-def count_standard_tableaux(lam: Partition) -> int:
-    """Standard tableau count by corner-peeling recursion (no hook formula)."""
-
-    @lru_cache(maxsize=None)
-    def count(shape: tuple[int, ...]) -> int:
-        if not shape:
-            return 1
-        total = 0
-        for i, row in enumerate(shape):
-            if i + 1 < len(shape) and shape[i + 1] == row:
-                continue  # not a corner
-            smaller = list(shape)
-            smaller[i] -= 1
-            if smaller[i] == 0:
-                smaller.pop(i)
-            total += count(tuple(smaller))
-        return total
-
-    return count(lam.parts)
-
-
-def dim_specht(lam: Partition) -> int:
-    """Specht dimension, computed two ways and cross-checked."""
-    counted = count_standard_tableaux(lam)
-    hooked = hook_length_dim(lam)
-    if counted != hooked:
-        raise AssertionError(f"tableau count {counted} != hook formula {hooked} for {lam}")
-    return counted
 
 
 def standard_tableaux(parts: tuple[int, ...]) -> list[list[list[int]]]:
@@ -150,6 +136,12 @@ class _Skeleton:
     sigma: tuple[np.ndarray, np.ndarray]  # index action of the two generators
     gen_signs: tuple[int, int]
     b_signed: np.ndarray  # standard polytabloids over Z, entries in {-1,0,1}
+    std: np.ndarray  # index of the tabloid {t} of each standard tableau t
+
+    @property
+    def nbytes(self) -> int:
+        arrays = (self.codes, *self.sigma, self.b_signed, self.std)
+        return sum(a.nbytes for a in arrays)
 
 
 def _generator_maps(d: int) -> list[np.ndarray]:
@@ -161,7 +153,46 @@ def _generator_maps(d: int) -> list[np.ndarray]:
     return [swap, cycle]
 
 
-@lru_cache(maxsize=2)
+_CacheInfo = namedtuple("_CacheInfo", "hits misses maxsize currsize")
+
+
+class _SkeletonCache:
+    """Least-recently-used memo of skeletons, bounded by the bytes they hold.
+
+    Mirrors the lru_cache interface that callers rely on: cache_info(),
+    whose maxsize and currsize count bytes, and cache_clear().  A skeleton
+    larger than the whole budget is returned but not kept.
+    """
+
+    def __init__(self, build: Callable[[tuple[int, ...]], _Skeleton]):
+        self._build = build
+        self._entries: OrderedDict[tuple[int, ...], _Skeleton] = OrderedDict()
+        self._bytes = self._hits = self._misses = 0
+
+    def __call__(self, parts: tuple[int, ...]) -> _Skeleton:
+        found = self._entries.get(parts)
+        if found is not None:
+            self._entries.move_to_end(parts)
+            self._hits += 1
+            return found
+        self._misses += 1
+        built = self._build(parts)
+        self._entries[parts] = built
+        self._bytes += built.nbytes
+        while self._bytes > _SKELETON_CACHE_BYTES:
+            _, dropped = self._entries.popitem(last=False)
+            self._bytes -= dropped.nbytes
+        return built
+
+    def cache_info(self) -> _CacheInfo:
+        return _CacheInfo(self._hits, self._misses, _SKELETON_CACHE_BYTES, self._bytes)
+
+    def cache_clear(self) -> None:
+        self._entries.clear()
+        self._bytes = self._hits = self._misses = 0
+
+
+@_SkeletonCache
 def _skeleton(parts: tuple[int, ...]) -> _Skeleton:
     lam = Partition(parts)
     d = lam.size
@@ -216,10 +247,18 @@ def _skeleton(parts: tuple[int, ...]) -> _Skeleton:
         b_rows.append(vec)
     b_signed = np.array(b_rows, dtype=np.int8)
 
-    dim = dim_specht(lam)
+    rows_of = np.zeros((len(tableaux), d), dtype=np.int8)
+    for k, t in enumerate(tableaux):
+        for i, row in enumerate(t):
+            rows_of[k, row] = i
+    std = index_of(rows_of)
+
+    dim = hook_length_dim(lam)
     if b_signed.shape[0] != dim:
         raise AssertionError(f"{lam}: built {b_signed.shape[0]} polytabloids, expected {dim}")
-    return _Skeleton(parts, d, m, dim, codes, (sigma[0], sigma[1]), (signs[0], signs[1]), b_signed)
+    return _Skeleton(
+        parts, d, m, dim, codes, (sigma[0], sigma[1]), (signs[0], signs[1]), b_signed, std
+    )
 
 
 def _max_dim(override: Optional[int]) -> int:
@@ -244,7 +283,7 @@ class SpechtModule:
         self.perm_dim = skeleton.m
         self._sk = skeleton
         self.basis = np.mod(skeleton.b_signed, p).astype(np.int8)
-        self._transform: Optional[tuple[np.ndarray, list[int]]] = None
+        self._std_inverse: Optional[np.ndarray] = None
         self._gens: Optional[list[np.ndarray]] = None
         self._end: Optional[list[np.ndarray]] = None
 
@@ -259,21 +298,33 @@ class SpechtModule:
         inv[sigma] = np.arange(len(sigma), dtype=sigma.dtype)
         return self.basis[:, inv]
 
-    # -- Specht-basis generator matrices ---------------------------------
+    # -- coordinates in the polytabloid basis -----------------------------
 
-    def _ensure_transform(self) -> tuple[np.ndarray, list[int]]:
-        if self._transform is None:
-            _, trans, piv = rref_with_transform(self.basis, self.p)
+    def _express(self, vectors: np.ndarray) -> tuple[np.ndarray, bool]:
+        """Candidate coordinates c of the rows, and whether c @ basis gives them back.
+
+        c is read off the standard-tabloid columns through the inverse of the
+        unitriangular block basis[:, std]; a row outside the row space still
+        gets some c, which the recheck exposes.
+        """
+        std = self._sk.std
+        if self._std_inverse is None:
+            _, inverse, piv = rref_with_transform(self.basis[:, std], self.p)
             if len(piv) != self.dim:
-                raise AssertionError(f"embedding matrix of {self.lam} lost rank")
-            self._transform = (trans, piv)
-        return self._transform
+                raise AssertionError(f"standard-tabloid block of {self.lam} is singular")
+            self._std_inverse = inverse
+        c = mm(vectors[:, std], self._std_inverse, self.p)
+        return c, np.array_equal(mm(c, self.basis, self.p), np.mod(vectors, self.p))
 
     def coords(self, vectors: np.ndarray) -> np.ndarray:
-        """Express rows (in tabloid coordinates) in the polytabloid basis."""
-        trans, piv = self._ensure_transform()
-        c = mm(vectors[:, piv], trans, self.p)
-        if not np.array_equal(mm(c, self.basis, self.p), np.mod(vectors, self.p)):
+        """Express rows (in tabloid coordinates) in the polytabloid basis.
+
+        Uses only the dim x dim standard-tabloid block of the basis, then
+        rechecks the product against the input; raises TwistlabError for a
+        row outside the module.
+        """
+        c, inside = self._express(vectors)
+        if not inside:
             raise TwistlabError("vector outside the module row space")
         return c
 
@@ -289,15 +340,13 @@ class SpechtModule:
     # -- invariants -------------------------------------------------------
 
     def invariants_dim(self) -> int:
-        """Dimension of the common fixed space of the two generators."""
-        acc = Echelon(self.p, self.dim)
-        for k in (0, 1):
-            moved = np.mod(self._permuted_basis(k) - self.basis, self.p)
-            for lo in range(0, moved.shape[1], _CHUNK):
-                acc.add(moved[:, lo : lo + _CHUNK].T)
-                if acc.rank == self.dim:
-                    return 0
-        return self.dim - acc.rank
+        """Dimension of the fixed space: 1 if the all-ones row lies in the module, else 0.
+
+        The fixed vectors of the transitive permutation module M^lambda are
+        the multiples of the all-ones vector, so this is exact.
+        """
+        _, inside = self._express(np.ones((1, self.perm_dim), dtype=np.int64))
+        return int(inside)
 
 
 def build_specht(lam: Partition, p: int, max_dim: Optional[int] = None) -> SpechtModule:
@@ -550,8 +599,10 @@ def invariants_dim(a: SpechtModule) -> int:
 
 
 def h0_dim(lam: Partition, p: int, max_dim: Optional[int] = None) -> int:
-    """Dimension of the fixed space of S^lambda over GF(p).
+    """Dimension of the fixed space of S^lambda over GF(p), 0 or 1.
 
+    When lambda has no more tabloids than its conjugate this is the
+    membership test of the all-ones vector in S^lambda (invariants_dim).
     Hooked and other thin shapes sit inside huge permutation modules even
     when the Specht module itself is tiny, so when the conjugate shape has
     fewer tabloids the same number is computed there instead: fixed vectors

@@ -226,6 +226,35 @@ def test_verify_rejects_malformed_fixtures(tmp_path, capsys, fixtures, named):
     assert named in err
 
 
+def test_verify_rejects_a_fixture_naming_an_unknown_scan(tmp_path, capsys):
+    fixtures = [
+        {"id": "x", "kind": "search", "inputs": {"search": "nope", "d": 4, "p": 3},
+         "expected": {"hit_count": 0}},
+    ]
+    path = tmp_path / "fx.json"
+    path.write_text(json.dumps(fixtures))
+    code, out, err = run_cli(capsys, "verify", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("TwistlabError: ")
+    assert "'nope'" in err
+
+
+@pytest.mark.parametrize("which", ["p-image", "census"])
+def test_fixture_scans_match_the_command_line(tmp_path, capsys, which):
+    _, out, _ = run_cli(capsys, "search", which, "--p", "3", "--d", "9")
+    hits = len(json.loads(out)["hits"])
+    fixtures = [
+        {"id": "x", "kind": "search", "inputs": {"search": which, "d": 9, "p": 3},
+         "expected": {"hit_count": hits, "counterexamples": 0}},
+    ]
+    path = tmp_path / "fx.json"
+    path.write_text(json.dumps(fixtures))
+    code, out, _ = run_cli(capsys, "verify", str(path))
+    assert code == 0
+    assert json.loads(out)["passed"] == 1
+
+
 def test_console_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "twistlab.cli", "tau", "--p", "5", "--n", "10"],

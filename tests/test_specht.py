@@ -6,7 +6,7 @@ import pytest
 from twistlab import specht
 from twistlab.criteria import h0_specht_nonzero
 from twistlab.errors import SizeMismatch, TooLarge, TwistlabError
-from twistlab.gf import Echelon, mm, rank
+from twistlab.gf import Echelon, mm, rank, rref_with_transform
 from twistlab.partitions import Partition, enumerate_partitions
 from twistlab.specht import (
     _spin_basis,
@@ -162,20 +162,100 @@ def test_sign_dual_relation_on_small_shapes():
                 assert sign_dual_check(lam, p)
 
 
+def _echelon_fixed_dim(module):
+    """Oracle: dim minus the rank of the moved vectors g e_t - e_t of both generators.
+
+    A vector x of polytabloid coordinates is fixed exactly when x has zero
+    product with every column of the moved matrices, so the fixed space is
+    the kernel of their stacked transposes.
+    """
+    acc = Echelon(module.p, module.dim)
+    for k in (0, 1):
+        moved = np.mod(module._permuted_basis(k) - module.basis, module.p)
+        acc.add(moved.T)
+    return module.dim - acc.rank
+
+
+SMALL_CASES = [
+    (lam, p) for p in (2, 3, 5) for d in range(1, 8) for lam in enumerate_partitions(d, "all")
+]
+
+
 def test_invariants_match_congruence_criterion():
-    for p in (2, 3):
-        for d in range(1, 8):
-            for lam in enumerate_partitions(d, "all"):
-                module = build_specht(lam, p)
-                assert (invariants_dim(module) > 0) == h0_specht_nonzero(lam, p)
+    for lam, p in SMALL_CASES:
+        module = build_specht(lam, p)
+        fixed = _echelon_fixed_dim(module)
+        assert invariants_dim(module) == fixed, (lam, p)
+        assert (fixed > 0) == h0_specht_nonzero(lam, p), (lam, p)
 
 
 def test_h0_dim_agrees_with_direct_invariants():
+    for lam, p in SMALL_CASES:
+        assert h0_dim(lam, p) == _echelon_fixed_dim(build_specht(lam, p)), (lam, p)
+
+
+def test_std_block_generators_match_full_basis_elimination():
     for p in (2, 3, 5):
-        for d in range(1, 8):
+        for d in range(1, 7):
             for lam in enumerate_partitions(d, "all"):
-                direct = invariants_dim(build_specht(lam, p))
-                assert h0_dim(lam, p) == direct, (lam, p)
+                module = build_specht(lam, p)
+                _, trans, piv = rref_with_transform(module.basis, p)
+                for k, gen in enumerate(module.generators()):
+                    want = mm(module._permuted_basis(k)[:, piv], trans, p)
+                    assert np.array_equal(gen, want), (lam, p, k)
+
+
+def test_standard_tabloid_block_is_unitriangular():
+    for d in range(1, 9):
+        for lam in enumerate_partitions(d, "all"):
+            for p in (2, 3, 5):
+                module = build_specht(lam, p)
+                block = module.basis[:, module._sk.std]
+                assert np.all(np.diag(block) == 1), (lam, p)
+                assert np.array_equal(np.triu(block), block), (lam, p)
+                assert rank(block, p) == module.dim, (lam, p)
+
+
+def test_coords_rejects_a_row_outside_the_module():
+    module = build_specht(Partition((2, 1)), 3)
+    outside = np.zeros((1, module.perm_dim), dtype=np.int64)
+    outside[0, module._sk.std[0]] = 1
+    with pytest.raises(TwistlabError, match="outside the module"):
+        module.coords(outside)
+
+
+def _record_skeleton_shapes(monkeypatch):
+    """Route every skeleton lookup through a recorder; returns the shapes asked for."""
+    asked = set()
+    cache = specht._skeleton
+
+    def recording(parts):
+        asked.add(parts)
+        return cache(parts)
+
+    monkeypatch.setattr(specht, "_skeleton", recording)
+    cache.cache_clear()
+    return cache, asked
+
+
+def test_skeleton_cache_misses_once_per_shape_with_the_prime_outermost(monkeypatch):
+    cache, asked = _record_skeleton_shapes(monkeypatch)
+    for p in (2, 3, 5):
+        for d in range(1, 7):
+            for lam in enumerate_partitions(d, "all"):
+                h0_dim(lam, p)
+    assert cache.cache_info().misses == len(asked)
+
+
+def test_tiny_skeleton_budget_evicts_and_keeps_answers(monkeypatch):
+    cases = [(lam, p) for p in (2, 3) for d in range(1, 7) for lam in enumerate_partitions(d)]
+    want = [h0_dim(lam, p) for lam, p in cases]
+    monkeypatch.setattr(specht, "_SKELETON_CACHE_BYTES", 2_000)
+    cache, asked = _record_skeleton_shapes(monkeypatch)
+    assert [h0_dim(lam, p) for lam, p in cases] == want
+    info = cache.cache_info()
+    assert info.currsize <= 2_000
+    assert info.misses > len(asked)
 
 
 def test_h0_dim_reaches_thin_shapes_through_the_conjugate():
