@@ -20,6 +20,7 @@ from .errors import (
     NoInsertion,
     NonPartitionDifference,
     NotDistinctParts,
+    NotPrime,
     NotPRegular,
     NotPRestricted,
     NotTwoPart,
@@ -52,6 +53,7 @@ __all__ = [
     "NoInsertion",
     "NonPartitionDifference",
     "NotDistinctParts",
+    "NotPrime",
     "NotPRegular",
     "NotPRestricted",
     "NotTwoPart",

@@ -25,7 +25,13 @@ from .criteria import (
     murphy_summand_count,
 )
 from .errors import TwistlabError
-from .mullineux import mullineux_map, mullineux_symbol, tau, verify_hat_identity
+from .mullineux import (
+    MullineuxSymbol,
+    mullineux_map,
+    mullineux_symbol,
+    tau,
+    verify_hat_identity,
+)
 from .partitions import Partition
 from .search import (
     SearchReport,
@@ -37,6 +43,7 @@ from .search import (
     multi_twist_scan,
 )
 from .specht import (
+    ENUMERATE_BOUND,
     build_specht,
     end_ring,
     hom_dim,
@@ -75,6 +82,11 @@ def _parts(lam: Partition) -> list:
     return list(lam.parts)
 
 
+def _symbol_rows(sym: MullineuxSymbol) -> Dict[str, list]:
+    """The symbol's two rows, one entry per column."""
+    return {"a": list(sym.top), "r": list(sym.bottom)}
+
+
 # ---------------------------------------------------------------- handlers
 
 
@@ -86,11 +98,7 @@ def _cmd_mull(args: argparse.Namespace) -> Payload:
         "mullineux": _parts(image),
     }
     if args.show_symbol:
-        sym = mullineux_symbol(args.lam, args.p)
-        payload["symbol"] = {
-            "a": [a for a, _ in sym.columns],
-            "r": [r for _, r in sym.columns],
-        }
+        payload["symbol"] = _symbol_rows(mullineux_symbol(args.lam, args.p))
     return payload, 0
 
 
@@ -112,12 +120,10 @@ def _cmd_hat(args: argparse.Namespace) -> Payload:
 
 
 def _cmd_symbol(args: argparse.Namespace) -> Payload:
-    sym = mullineux_symbol(args.lam, args.p)
     payload = {
         "p": args.p,
         "lambda": _parts(args.lam),
-        "a": [a for a, _ in sym.columns],
-        "r": [r for _, r in sym.columns],
+        **_symbol_rows(mullineux_symbol(args.lam, args.p)),
     }
     return payload, 0
 
@@ -184,7 +190,7 @@ def _cmd_specht_hom(args: argparse.Namespace) -> Payload:
 def _cmd_specht_decomposable(args: argparse.Namespace) -> Payload:
     module = build_specht(args.lam, args.p)
     basis = end_ring(module)
-    method = "enumerated" if args.p ** len(basis) <= 2**20 else "fitting"
+    method = "enumerated" if args.p ** len(basis) <= ENUMERATE_BOUND else "fitting"
     payload = {
         "dims": [module.dim],
         "result": is_decomposable(module, seed=args.seed),

@@ -30,6 +30,7 @@ from .errors import (
     HypothesisViolated,
     NotTwoPart,
     PrimeTooSmall,
+    check_prime,
 )
 from .gf import nullspace
 from .partitions import Partition, l_p
@@ -54,13 +55,6 @@ def _two_part(lam: Partition) -> Tuple[int, int]:
     return lam.part(0), lam.part(1)
 
 
-def _check_odd_prime(p: int) -> None:
-    if p < 3:
-        raise PrimeTooSmall("an odd prime is required")
-    if any(p % q == 0 for q in range(2, int(p**0.5) + 1)):
-        raise ValueError(f"p={p} is not prime")
-
-
 def ks_ext1_witness(p: int, lam: Partition, mu: Partition) -> Optional[int]:
     """Digit index certifying a nonzero Ext^1, or None when the group vanishes.
 
@@ -69,7 +63,9 @@ def ks_ext1_witness(p: int, lam: Partition, mu: Partition) -> Optional[int]:
     nonzero exactly when some digit a_i > 0 satisfies
     u - r = (p - a_i) * p**i and the carry gate a_{i+1} < p - 1 or u < p**(i+2).
     """
-    _check_odd_prime(p)
+    check_prime(p)
+    if p < 3:
+        raise PrimeTooSmall("an odd prime is required")
     v, u = _two_part(lam)
     s, r = _two_part(mu)
     if v + u != s + r:
@@ -229,8 +225,7 @@ def h0_failed_row(lam: Partition, p: int) -> Optional[int]:
     Returns None when every consecutive pair passes, i.e. when the Specht
     module S^lam has nonzero fixed points.
     """
-    if p < 2:
-        raise ValueError("p must be at least 2")
+    check_prime(p)
     for i in range(len(lam) - 1):
         below = lam.part(i + 1)
         if below == 0:

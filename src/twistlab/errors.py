@@ -1,4 +1,4 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and its one prime check.
 
 Everything raised on purpose derives from :class:`TwistlabError`, so callers
 (and the CLI) can distinguish domain errors from genuine bugs with a single
@@ -6,6 +6,9 @@ Everything raised on purpose derives from :class:`TwistlabError`, so callers
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
+from math import isqrt
 
 
 class TwistlabError(Exception):
@@ -56,6 +59,10 @@ class EqualSizeRequired(TwistlabError):
     """Both partitions must partition the same integer for this computation."""
 
 
+class NotPrime(TwistlabError):
+    """A prime was required and the given number is not one."""
+
+
 class PrimeTooSmall(TwistlabError):
     """The criterion is stated only for primes strictly larger than this one."""
 
@@ -78,3 +85,10 @@ class SizeMismatch(TwistlabError):
 
 class Inconclusive(TwistlabError):
     """The randomized splitting test neither found a splitting nor ruled one out."""
+
+
+@lru_cache(maxsize=64)  # every symbol, map and Specht module checks its prime
+def check_prime(p: int) -> None:
+    """Raise NotPrime unless p is prime: the Mullineux map, the criteria and Specht modules need it."""
+    if p < 2 or any(p % q == 0 for q in range(2, isqrt(p) + 1)):
+        raise NotPrime(f"{p} is not prime")

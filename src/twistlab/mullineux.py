@@ -7,15 +7,23 @@ partition records a two-row symbol (a_i; r_i) of rim sizes and row counts;
 rewriting the bottom row and running the iteration backwards realizes the
 Mullineux involution m on p-regular partitions.
 
-Removal is cheap and deterministic.  Insertion (the inverse) is a small
-depth-first search over per-row removal counts, forward-verified before
-anything is returned, so a wrong reconstruction cannot escape quietly.
+A symbol is stored as its maximal runs (a, r, count) of equal columns; the
+symbol of p^b * lam has a few runs, each about p^b columns long.  Removal and
+insertion walk a run with one engine, `_cycle_jump`: single steps record
+their strip profiles, and once the latest profiles repeat with some period
+the state moves by whole cycles in one arithmetic step, checked by stripping
+its first and last cycle.  Removal is cheap and deterministic.  Insertion
+(the inverse) is a small depth-first search over per-row removal counts,
+forward-verified before anything is returned, so a wrong reconstruction
+cannot escape quietly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, repeat
 from math import ceil
+from typing import Optional
 
 from .errors import (
     AmbiguousInsertion,
@@ -23,27 +31,34 @@ from .errors import (
     NoInsertion,
     NotPRegular,
     NotPRestricted,
+    check_prime,
 )
 from .partitions import Partition
 
 
 @dataclass(frozen=True)
 class MullineuxSymbol:
-    """Columns (a_i, r_i): rim size and row count of each removal step."""
+    """Maximal runs (a, r, count): count equal columns of rim size a over r rows."""
 
     p: int
-    columns: tuple[tuple[int, int], ...]
+    runs: tuple[tuple[int, int, int], ...]
 
     def __post_init__(self):
-        if self.p < 2:
-            raise ValueError("p must be at least 2")
-        prev_rows = None
-        for a, r in self.columns:
-            if a < 1 or r < 1:
-                raise InvalidSymbol(f"column ({a};{r}) has a nonpositive entry")
-            if prev_rows is not None and r > prev_rows:
+        check_prime(self.p)
+        prev = None
+        for a, r, count in self.runs:
+            if a < 1 or r < 1 or count < 1:
+                raise InvalidSymbol(f"run ({a};{r}) x {count} has a nonpositive entry")
+            if prev is not None and r > prev[1]:
                 raise InvalidSymbol("row counts must be weakly decreasing")
-            prev_rows = r
+            if prev == (a, r):
+                raise InvalidSymbol(f"adjacent runs repeat the column ({a};{r})")
+            prev = (a, r)
+
+    @property
+    def columns(self) -> tuple[tuple[int, int], ...]:
+        """Every column (a_i, r_i), each run written out."""
+        return tuple(chain.from_iterable(repeat((a, r), n) for a, r, n in self.runs))
 
     @property
     def top(self) -> tuple[int, ...]:
@@ -55,7 +70,7 @@ class MullineuxSymbol:
 
     @property
     def size(self) -> int:
-        return sum(self.top)
+        return sum(a * n for a, _, n in self.runs)
 
 
 def _rim_profile(parts: tuple[int, ...], p: int) -> list[int]:
@@ -73,44 +88,51 @@ def _rim_profile(parts: tuple[int, ...], p: int) -> list[int]:
     return counts
 
 
-def _phase_length(parts: tuple[int, ...], counts: list[int], p: int) -> int:
-    """How many consecutive strips reuse this exact removal profile.
-
-    Stripping shifts every row linearly (row_j loses counts[j] per step), so
-    each min(budget, avail) decision stays put over an interval of steps whose
-    endpoints are exact integer bounds.  Taking the minimum over rows gives
-    the run length in one O(rows) pass; the value is always at least 1.
-    """
-    n = len(parts)
-    best = 1 << 62
-    budget = p
-    for j in range(n):
-        c = counts[j]
-        if j + 1 < n:
-            slope = counts[j + 1] - c
-            base = parts[j] - parts[j + 1] + 1
-            if c == budget:
-                # full row: avail(t) >= budget must persist
-                if slope < 0:
-                    best = min(best, (base - budget) // -slope + 1)
-                budget = p
-            else:
-                # short row takes exactly avail, so avail(t) must stay frozen
-                if slope != 0:
-                    best = 1
-                budget -= c
-            if slope < 0:
-                # rows must stay weakly decreasing after every strip
-                best = min(best, (parts[j] - parts[j + 1]) // -slope)
-        else:
-            best = min(best, parts[j] // c) if c == budget else 1
-    return max(best, 1)
-
-
 def _strip_raw(parts: tuple[int, ...], p: int) -> tuple[tuple[int, ...], int]:
     counts = _rim_profile(parts, p)
     rest = tuple(row - c for row, c in zip(parts, counts) if row > c)
     return rest, sum(counts)
+
+
+def _cycle_strips_back(state: tuple[int, ...], cyc: list, p: int) -> bool:
+    """Does stripping one rim per entry of cyc, in order, peel state by exactly cyc?"""
+    cur = list(state)
+    for c in cyc:
+        if _rim_profile(tuple(cur), p) != list(c):
+            return False
+        for t, ct in enumerate(c):
+            cur[t] -= ct
+    return True
+
+
+def _cycle_jump(
+    state: tuple[int, ...], history: list, p: int, left: Optional[int] = None
+) -> Optional[tuple[tuple[int, ...], int]]:
+    """Move state by whole cycles of the period of history: (state, steps), or None.
+
+    history holds the strip profiles of the run's latest single steps, oldest
+    first.  Stripping passes left=None; insertion passes the number of steps
+    its run has left.  The argument is in `_rebuild_run`.
+    """
+    for q in range(1, min(len(state) * p, len(history) // 2) + 1):
+        cyc = history[-q:]
+        if history[-2 * q : -q] != cyc:
+            continue
+        total = [sum(rows) for rows in zip(*cyc)]
+        if left is None:  # cycle j strips state - (j-1)*total, oldest profile first
+            k = min((x - 1) // t for x, t in zip(state, total))  # rows stay positive
+            strips, step, first = cyc, [-t for t in total], state
+        else:  # cycle j builds state + j*total, which strips back newest first
+            k = left // q
+            strips, step, first = cyc[::-1], total, tuple(x + t for x, t in zip(state, total))
+        if k < 2 or not _cycle_strips_back(first, strips, p):
+            continue
+        while k > 1 and not _cycle_strips_back(
+            tuple(x + (k - 1) * s for x, s in zip(first, step)), strips, p
+        ):
+            k //= 2
+        return tuple(x + k * s for x, s in zip(state, step)), k * q
+    return None
 
 
 def remove_p_rim(lam: Partition, p: int) -> tuple[Partition, int]:
@@ -122,36 +144,48 @@ def remove_p_rim(lam: Partition, p: int) -> tuple[Partition, int]:
 
 
 def mullineux_symbol(lam: Partition, p: int) -> MullineuxSymbol:
-    """Iterate p-rim removal to the empty partition, recording (a_i, r_i).
+    """Iterate p-rim removal to the empty partition, recording runs (a, r, count).
 
-    Strips with identical profiles are batched: the profile and its run
-    length are computed once and the whole run of equal columns emitted,
-    which keeps huge scaled partitions (few rows, enormous parts) cheap.
+    Strips go one at a time until their profiles repeat; from then on
+    `_cycle_jump` removes whole periods at once, so the work per run does not
+    grow with its length, and huge scaled partitions stay cheap.
     """
+    check_prime(p)
     if not lam.is_p_regular(p):
         raise NotPRegular(f"{lam} is not {p}-regular")
-    cols: list[tuple[int, int]] = []
+    runs: list[tuple[int, int, int]] = []
+    history: list[list[int]] = []
     parts = lam.parts
     while parts:
+        jump = len(history) > 1 and _cycle_jump(parts, history, p)
+        if jump:
+            parts, steps = jump
+            a, r, count = runs[-1]
+            runs[-1] = (a, r, count + steps)
+            continue
         counts = _rim_profile(parts, p)
-        k = _phase_length(parts, counts, p)
-        column = (sum(counts), len(parts))
-        cols.extend([column] * k)
-        parts = tuple(row - k * c for row, c in zip(parts, counts) if row > k * c)
-    return MullineuxSymbol(p, tuple(cols))
+        a, r = sum(counts), len(parts)
+        if runs and runs[-1][:2] == (a, r):
+            runs[-1] = (a, r, runs[-1][2] + 1)
+        else:
+            runs.append((a, r, 1))
+            history = []
+        history.append(counts)
+        del history[: -2 * r * p]
+        parts = tuple(row - c for row, c in zip(parts, counts) if row > c)
+    return MullineuxSymbol(p, tuple(runs))
 
 
 def transform_symbol(sym: MullineuxSymbol) -> MullineuxSymbol:
     """Swap each row count r_i for s_i = a_i - r_i + eps_i, eps_i = [p does not divide a_i].
 
     This is the symbol half of the Mullineux involution; applying it twice
-    gives back the input.
+    gives back the input.  Distinct columns stay distinct, so runs stay
+    maximal.
     """
     p = sym.p
-    cols = tuple(
-        (a, a - r + (1 if a % p else 0)) for a, r in sym.columns
-    )
-    return MullineuxSymbol(p, cols)
+    runs = tuple((a, a - r + (1 if a % p else 0), n) for a, r, n in sym.runs)
+    return MullineuxSymbol(p, runs)
 
 
 def _insert_raw(mu: tuple[int, ...], a: int, r: int, p: int) -> tuple[int, ...]:
@@ -233,108 +267,67 @@ def insert_p_rim(mu: Partition, a: int, r: int, p: int) -> Partition:
     return Partition(_insert_raw(mu.parts, a, r, p))
 
 
-def _cycle_strips_back(state: tuple[int, ...], cyc: list[tuple[int, ...]], p: int) -> bool:
-    """Does stripping one rim per cycle entry peel state down by exactly cyc?"""
-    cur = list(state)
-    for c in reversed(cyc):
-        if cur[-1] <= 0 or _rim_profile(tuple(cur), p) != list(c):
-            return False
-        for t, ct in enumerate(c):
-            cur[t] -= ct
-    return True
-
-
 def _rebuild_run(nu: tuple[int, ...], a: int, r: int, p: int, run: int) -> tuple[int, ...]:
     """Apply `run` consecutive insertions of the same column (a, r).
 
-    Single insertions record the per-row growth deltas, newest last, keeping
-    the latest 2*r*p of them.  A period is any q <= r*p whose last two
-    q-blocks of deltas agree; the periods are tried smallest first, so the
-    minimal period of the recent history is the first one used.  The cap
-    r*p is a search limit, not a theorem: a longer cycle is still rebuilt
-    correctly, one insertion at a time.  For q, the cycle cyc (the last q
-    deltas, summing to `total`) is predicted to repeat: the state one cycle
-    ahead must strip back through cyc to nu, and then k further cycles are
-    added in one arithmetic jump, k = left // q halved until the top cycle
-    also strips back, so a jump never passes the end of the run.  When no
-    period passes, one single insertion is made.
+    Single insertions record their strip profiles (the per-row growth),
+    newest last, keeping the latest 2*r*p of them; stripping a run keeps the
+    same history in `mullineux_symbol`.  `_cycle_jump` takes, smallest
+    first, each period q <= r*p whose last two q-blocks of profiles agree,
+    and predicts that the cycle cyc (the last q profiles, summing to total)
+    repeats.  The first cycle ahead must strip through cyc, and then k
+    cycles are made in one arithmetic step, k halved until the last cycle
+    also strips through cyc.  Insertion takes k <= left // q, so a jump never
+    passes the end of the run; stripping takes the largest k that keeps
+    every row positive, so the run's last strips are single ones.  The cap
+    r*p is a search limit, not a theorem: a longer cycle is still walked
+    correctly, one step at a time.  When no period passes, one single step
+    is made.
 
-    Checking the bottom and the top cycle suffices.  After j cycles the
-    state is nu + j*total; within a cycle each strip keeps its profile
-    while, row by row, a full-budget row still has at least the budget
-    available, a short row has exactly its count available, and the last
-    row stays positive.  With the profiles fixed each of these is a linear
+    Checking the first and the last cycle suffices.  After j cycles the
+    state is the start plus or minus j*total; within a cycle each strip
+    keeps its profile while, row by row, a full-budget row still has at
+    least the budget available and a short row has exactly its count
+    available (counts are at least 1, so the rows stay positive and weakly
+    decreasing).  With the profiles fixed each of these is a linear
     (in)equality in j, so it holds for every j between two values at which
-    it holds.  Rim insertion is unique, so a state that strips back through
-    the cycle is the state that single insertions would have built.
+    it holds.  Stripping is a function, so the stripped states are the ones
+    single strips reach.  Rim insertion is unique, so a state that strips
+    back through the cycle is the state that single insertions would have
+    built.
     """
     done = 0
     history: list[tuple[int, ...]] = []
     while done < run:
-        left = run - done
-        jumped = False
-        for q in range(1, min(r * p, left // 2, len(history) // 2) + 1):
-            cyc = history[-q:]
-            if history[-2 * q : -q] != cyc:
-                continue
-            total = [sum(c[t] for c in cyc) for t in range(r)]
-            bottom = tuple(nu[t] + total[t] for t in range(r))
-            if not _cycle_strips_back(bottom, cyc, p):
-                continue
-            k = left // q
-            while k >= 2:
-                cand = tuple(nu[t] + k * total[t] for t in range(r))
-                if _cycle_strips_back(cand, cyc, p):
-                    nu = cand
-                    done += k * q
-                    break
-                k //= 2
-            else:
-                nu = bottom
-                done += q
-            jumped = True  # history still ends with cyc
-            break
-        if not jumped:
-            prev = nu
-            nu = _insert_raw(nu, a, r, p)
-            done += 1
-            history.append(tuple(nu[t] - (prev[t] if t < len(prev) else 0) for t in range(r)))
-            del history[: -2 * r * p]
+        jump = len(history) > 1 and _cycle_jump(nu, history, p, run - done)
+        if jump:
+            nu, steps = jump
+            done += steps
+            continue
+        prev = nu
+        nu = _insert_raw(nu, a, r, p)
+        done += 1
+        history.append(tuple(nu[t] - (prev[t] if t < len(prev) else 0) for t in range(r)))
+        del history[: -2 * r * p]
     return nu
 
 
 def reconstruct_from_symbol(sym: MullineuxSymbol) -> Partition:
-    """Run the removal iteration backwards, last column first.
+    """Run the removal iteration backwards, last run first.
 
-    Each run of identical columns goes to `_rebuild_run`: single insertions
-    record the per-row growth deltas, and once the latest deltas repeat with
-    some period q <= r*p (the smallest such q first, found in the last
-    2*r*p deltas), whole cycles of q insertions are added as one arithmetic
-    jump.  Only the bottom and top cycle of a jump are checked by stripping
-    back, which is enough because every profile condition is linear in the
-    cycle index.  The single insertions a run needs then depend on its
-    transient and its period, not on its length.
+    Each run goes to `_rebuild_run`, which makes single insertions until
+    their profiles repeat and then adds whole periods in one jump, so the
+    insertions a run needs depend on its transient and its period, not on
+    its length.
     """
-    p = sym.p
-    cols = sym.columns
     nu: tuple[int, ...] = ()
-    i = len(cols) - 1
-    while i >= 0:
-        a, r = cols[i]
-        start = i
-        while start > 0 and cols[start - 1] == (a, r):
-            start -= 1
-        nu = _rebuild_run(nu, a, r, p, i - start + 1)
-        i = start - 1
+    for a, r, count in reversed(sym.runs):
+        nu = _rebuild_run(nu, a, r, sym.p, count)
     return Partition(nu)
 
 
 def mullineux_map(lam: Partition, p: int) -> Partition:
     """The Mullineux involution on p-regular partitions."""
-    if not lam.is_p_regular(p):
-        raise NotPRegular(f"{lam} is not {p}-regular")
-    if not lam:
-        return lam
     return reconstruct_from_symbol(transform_symbol(mullineux_symbol(lam, p)))
 
 

@@ -46,7 +46,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import Inconclusive, SizeMismatch, TooLarge, TwistlabError
+from .errors import Inconclusive, Overflow, SizeMismatch, TooLarge, TwistlabError, check_prime
 from .gf import Echelon, mm, nullspace, rank, rref, rref_with_transform, solve_right
 from .partitions import Partition
 
@@ -55,6 +55,12 @@ DEFAULT_MAX_DIM = 100_000
 # up to degree 10 (about 51 MB) fits, so a loop with the prime outermost
 # builds each shape once
 _SKELETON_CACHE_BYTES = 64 * 2**20
+# the basis holds residues mod p as int8
+_MAX_PRIME = 127
+# is_decomposable tests every element of End when p**dim(End) is at most
+# ENUMERATE_BOUND, and otherwise this many random elements
+ENUMERATE_BOUND = 2**20
+_SAMPLES = 64
 
 
 def perm_module_dim(lam: Partition) -> int:
@@ -268,11 +274,6 @@ def _max_dim(override: Optional[int]) -> int:
     return int(env) if env else DEFAULT_MAX_DIM
 
 
-def _check_prime(p: int) -> None:
-    if p < 2 or any(p % q == 0 for q in range(2, int(p**0.5) + 1)):
-        raise ValueError(f"{p} is not prime")
-
-
 class SpechtModule:
     """S^lambda over GF(p): embedding matrix plus generator actions."""
 
@@ -351,7 +352,9 @@ class SpechtModule:
 
 def build_specht(lam: Partition, p: int, max_dim: Optional[int] = None) -> SpechtModule:
     """Construct S^lambda over GF(p), refusing oversized permutation modules."""
-    _check_prime(p)
+    check_prime(p)
+    if p > _MAX_PRIME:
+        raise Overflow(f"residues mod {p} do not fit the int8 basis (p <= {_MAX_PRIME})")
     limit = _max_dim(max_dim)
     m = perm_module_dim(lam)
     if m > limit:
@@ -541,15 +544,10 @@ def end_ring(a: SpechtModule) -> list[np.ndarray]:
     return a._end
 
 
-def is_decomposable(
-    a: SpechtModule,
-    seed: int = 0,
-    samples: int = 64,
-    enum_bound: int = 2**20,
-) -> bool:
+def is_decomposable(a: SpechtModule, seed: int = 0) -> bool:
     """Does S^lambda split?  Exact when the End algebra is small.
 
-    With p**dim(End) within enum_bound every element of End is tested for
+    With p**dim(End) within ENUMERATE_BOUND every element of End is tested for
     being a nontrivial idempotent, which decides the question outright.
     Otherwise random elements are tried: one that is neither nilpotent nor
     invertible splits the module; if no sample settles it, Inconclusive.
@@ -561,7 +559,7 @@ def is_decomposable(
     if e == 1:
         return False  # End is the scalars; local ring
     identity = np.eye(n, dtype=np.int64)
-    if p**e <= enum_bound:
+    if p**e <= ENUMERATE_BOUND:
         for coeffs in itertools.product(range(p), repeat=e):
             theta = np.zeros((n, n), dtype=np.int64)
             for c, mat in zip(coeffs, basis):
@@ -574,7 +572,7 @@ def is_decomposable(
                 return True
         return False
     rng = np.random.default_rng(seed)
-    for _ in range(samples):
+    for _ in range(_SAMPLES):
         coeffs = rng.integers(0, p, size=e)
         theta = np.zeros((n, n), dtype=np.int64)
         for c, mat in zip(coeffs, basis):
@@ -590,7 +588,7 @@ def is_decomposable(
         if power.any():
             return True  # stable image is a proper nonzero summand
     raise Inconclusive(
-        f"no splitting idempotent found in {samples} samples; End dim {e}"
+        f"no splitting idempotent found in {_SAMPLES} samples; End dim {e}"
     )
 
 

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import json
@@ -5,7 +6,10 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import partitions
 from twistlab.cli import main
 
 
@@ -38,6 +42,39 @@ def test_domain_error_exits_one(capsys):
     code, _, err = run_cli(capsys, "mull", "--p", "3", "--lambda", "2,2,2")
     assert code == 1
     assert "NotPRegular" in err
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (("mull", "--p", "4", "--lambda", "2,1"), "NotPrime"),
+        (("specht", "h0", "--p", "4", "--lambda", "2,1"), "NotPrime"),
+        (("specht", "h0", "--p", "131", "--lambda", "2,1"), "Overflow"),
+    ],
+)
+def test_bad_primes_exit_one(capsys, argv, error):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"{error}: ")
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    command=st.sampled_from([("mull",), ("mull", "--show-symbol"), ("symbol",), ("specht", "h0")]),
+    p=st.integers(min_value=-2, max_value=200),
+    lam=partitions(max_size=5),
+)
+def test_fuzzed_primes_and_shapes_end_in_an_exit_code(command, p, lam):
+    argv = [*command, "--p", str(p), "--lambda", ",".join(map(str, lam.parts))]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 64), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
 
 
 def test_malformed_partition_is_a_usage_error(capsys):

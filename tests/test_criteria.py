@@ -17,6 +17,7 @@ from twistlab.errors import (
     CongruenceViolated,
     EqualSizeRequired,
     HypothesisViolated,
+    NotPrime,
     NotTwoPart,
     PrimeTooSmall,
 )
@@ -43,6 +44,8 @@ def test_ks_input_validation():
         ks_ext1(3, Partition((3, 1)), Partition((3, 2)))
     with pytest.raises(PrimeTooSmall):
         ks_ext1(2, Partition((3, 1)), Partition((2, 2)))
+    with pytest.raises(NotPrime):
+        ks_ext1(9, Partition((3, 1)), Partition((2, 2)))
 
 
 def test_ks_twist_stability_on_known_pair():
@@ -125,6 +128,8 @@ def test_h0_failed_row_values():
     assert h0_failed_row(Partition((8, 4, 3)), 3) == 2
     assert h0_failed_row(Partition((5, 3)), 2) == 1
     assert h0_failed_row(Partition((7,)), 3) is None  # one row never fails
+    with pytest.raises(NotPrime):
+        h0_failed_row(Partition((5, 3)), 4)
 
 
 def test_h0_nonzero_wrapper():

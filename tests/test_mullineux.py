@@ -1,4 +1,5 @@
 import random
+from itertools import groupby
 
 import pytest
 from hypothesis import given, settings
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 import twistlab.mullineux as mullineux_module
 
 from conftest import distinct_partitions, partitions, random_regular
-from twistlab.errors import InvalidSymbol, NoInsertion, NotPRegular, NotPRestricted
+from twistlab.errors import InvalidSymbol, NoInsertion, NotPrime, NotPRegular, NotPRestricted
 from twistlab.mullineux import (
     MullineuxSymbol,
     insert_p_rim,
@@ -78,7 +79,32 @@ def test_symbol_example():
 
 def test_symbol_rejects_garbage():
     with pytest.raises(InvalidSymbol):
-        MullineuxSymbol(5, ((0, 1),))
+        MullineuxSymbol(5, ((0, 1, 1),))
+
+
+@pytest.mark.parametrize(
+    "runs",
+    [
+        ((5, 2, 0),),  # a run of no columns
+        ((5, 2, 3), (5, 2, 1)),  # equal adjacent runs: not maximal
+        ((5, 1, 2), (10, 2, 1)),  # row counts increase
+    ],
+)
+def test_symbol_runs_must_be_maximal_and_decreasing(runs):
+    with pytest.raises(InvalidSymbol):
+        MullineuxSymbol(5, runs)
+
+
+def test_every_mullineux_entry_point_needs_a_prime():
+    lam = Partition((2, 1))
+    for call in (
+        lambda: mullineux_map(lam, 4),
+        lambda: mullineux_symbol(lam, 4),
+        lambda: MullineuxSymbol(4, ((2, 1, 1),)),
+        lambda: mullineux_map(lam, 1),
+    ):
+        with pytest.raises(NotPrime):
+            call()
 
 
 def test_symbol_round_trip_exhaustive():
@@ -207,7 +233,7 @@ def test_identities_on_random_distinct_shapes(lam):
 
 
 def test_large_scaled_involution():
-    # stress the phase-batched symbol walk on parts far beyond the rim size
+    # stress the cycle jumps of both directions on parts far beyond the rim size
     lam = random_regular(23, 5)
     big = lam.scale(5**4)
     image = mullineux_map(big, 5)
@@ -277,3 +303,69 @@ def test_deep_twist_jumps_whole_periods(monkeypatch):
     assert image.size == big.size
     assert image.is_p_regular(7)
     assert len(calls) < 2000
+
+
+def single_strip_columns(lam, p):
+    """Every column of the symbol, one _strip_raw per column: the oracle for jumps."""
+    columns = []
+    parts = lam.parts
+    while parts:
+        rest, a = mullineux_module._strip_raw(parts, p)
+        columns.append((a, len(parts)))
+        parts = rest
+    return tuple(columns)
+
+
+def test_strip_jumps_match_single_strips(monkeypatch):
+    # every run of a scaled shape's symbol, stripped with period jumps, must
+    # equal the same run stripped one rim at a time
+    verified_periods = []
+    strips_back = mullineux_module._cycle_strips_back
+
+    def recording(state, cyc, p):
+        ok = strips_back(state, cyc, p)
+        if ok:
+            verified_periods.append(len(cyc))
+        return ok
+
+    monkeypatch.setattr(mullineux_module, "_cycle_strips_back", recording)
+    cases = [(REPEATED_TWIST_SHAPE, 7, b) for b in (1, 2, 3)]
+    rng = random.Random(5)
+    for p in (3, 5):
+        for d in (12, 17, 23):
+            lam = random_regular(d, p, rng)
+            cases.extend((lam, p, b) for b in (1, 2, 3))
+    for lam, p, b in cases:
+        big = lam.scale(p**b)
+        columns = single_strip_columns(big, p)
+        runs = tuple((a, r, len(list(g))) for (a, r), g in groupby(columns))
+        assert mullineux_symbol(big, p).runs == runs, (lam, p, b)
+    # the profiles inside these runs cycle with periods above 1
+    assert max(verified_periods) > 1
+
+
+def test_deep_twist_strips_whole_periods(monkeypatch):
+    # stripping 7^5 * lam one rim per column takes 139,258 profiles
+    calls = []
+    rim_profile = mullineux_module._rim_profile
+
+    def counting(parts, p):
+        calls.append(len(parts))
+        return rim_profile(parts, p)
+
+    monkeypatch.setattr(mullineux_module, "_rim_profile", counting)
+    sym = mullineux_symbol(REPEATED_TWIST_SHAPE.scale(7**5), 7)
+    assert len(sym.runs) == 8
+    assert sum(count for _, _, count in sym.runs) == 139258
+    assert len(calls) < 2000
+
+
+def test_columns_match_single_strips_exhaustive():
+    for p in (2, 3, 5):
+        for d in range(1, 13):
+            for lam in enumerate_partitions(d, "p_regular", p):
+                for b in range(3):
+                    big = lam.scale(p**b)
+                    sym = mullineux_symbol(big, p)
+                    assert sym.columns == single_strip_columns(big, p), (lam, p, b)
+                    assert sym.size == big.size

@@ -5,7 +5,7 @@ import pytest
 
 from twistlab import specht
 from twistlab.criteria import h0_specht_nonzero
-from twistlab.errors import SizeMismatch, TooLarge, TwistlabError
+from twistlab.errors import NotPrime, Overflow, SizeMismatch, TooLarge, TwistlabError
 from twistlab.gf import Echelon, mm, rank, rref_with_transform
 from twistlab.partitions import Partition, enumerate_partitions
 from twistlab.specht import (
@@ -270,6 +270,14 @@ def test_h0_dim_reaches_thin_shapes_through_the_conjugate():
 def test_dimension_cap():
     with pytest.raises(TooLarge):
         build_specht(Partition((4, 3, 2, 1)), 2, max_dim=10)
+
+
+def test_prime_must_be_prime_and_fit_int8():
+    assert build_specht(Partition((2, 1)), 127).dim == 2
+    with pytest.raises(NotPrime):
+        build_specht(Partition((2, 1)), 4)
+    with pytest.raises(Overflow):
+        build_specht(Partition((2, 1)), 131)
 
 
 def test_dimension_cap_env_override(monkeypatch):
