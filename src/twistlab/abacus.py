@@ -14,8 +14,13 @@ from dataclasses import dataclass
 from math import ceil
 from typing import Optional
 
-from .errors import TooFewBeads
+from .errors import HypothesisViolated, TooFewBeads
 from .partitions import Partition, enumerate_partitions
+
+
+def _check_runners(p: int) -> None:
+    if p < 2:
+        raise HypothesisViolated("p must be at least 2")
 
 
 @dataclass(frozen=True)
@@ -26,12 +31,11 @@ class AbacusDisplay:
     beta: tuple[int, ...]
 
     def __post_init__(self):
-        if self.p < 2:
-            raise ValueError("p must be at least 2")
+        _check_runners(self.p)
         if any(b < 0 for b in self.beta):
-            raise ValueError("beta-numbers must be nonnegative")
+            raise HypothesisViolated("beta-numbers must be nonnegative")
         if any(x <= y for x, y in zip(self.beta, self.beta[1:])):
-            raise ValueError("beta-numbers must be strictly decreasing")
+            raise HypothesisViolated("beta-numbers must be strictly decreasing")
 
     @property
     def beads(self) -> int:
@@ -67,6 +71,7 @@ def default_beads(lam: Partition, p: int) -> int:
     The length of the partition rounded up to a positive multiple of p, so
     runner pictures come out canonical (every runner the same length).
     """
+    _check_runners(p)
     return p * ceil(max(len(lam), 1) / p)
 
 

@@ -280,7 +280,7 @@ def _eval_fixture(fx: Dict[str, Any]) -> Any:
         if "hit_lambdas" in fx["expected"]:
             out["hit_lambdas"] = [h["lambda"] for h in report.hits]
         return {key: out[key] for key in fx["expected"]}
-    raise ValueError(f"unknown fixture kind {kind!r}")
+    raise TwistlabError(f"unknown fixture kind {kind!r}")
 
 
 def _check_fixture(fx: Any, index: int) -> None:

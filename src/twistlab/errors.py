@@ -67,8 +67,12 @@ class PrimeTooSmall(TwistlabError):
     """The criterion is stated only for primes strictly larger than this one."""
 
 
-class HypothesisViolated(TwistlabError):
-    """Input failed a stated hypothesis of the formula being evaluated."""
+class HypothesisViolated(TwistlabError, ValueError):
+    """Input failed a stated hypothesis of the formula being evaluated.
+
+    Also a ValueError, so callers that caught the bare ValueError it replaced
+    (a prime below 2, a negative degree, an empty twist range) still do.
+    """
 
 
 class CongruenceViolated(TwistlabError):

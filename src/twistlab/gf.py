@@ -107,21 +107,6 @@ def _free_column_kernel(red: np.ndarray, piv: list[int], p: int) -> np.ndarray:
     return basis
 
 
-def solve_right(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """One solution x of a @ x == b mod p, or raise if inconsistent."""
-    arr = _as_mod(a, p)
-    rhs = _as_mod(b, p)
-    aug = np.hstack([arr, rhs])
-    red, piv = rref(aug, p)
-    n = arr.shape[1]
-    if any(c >= n for c in piv):
-        raise np.linalg.LinAlgError("inconsistent system")
-    x = np.zeros((n, rhs.shape[1]), dtype=np.int64)
-    for i, c in enumerate(piv):
-        x[c] = red[i, n:]
-    return x
-
-
 class Echelon:
     """Incremental row space over GF(p), fed in batches.
 

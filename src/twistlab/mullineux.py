@@ -27,6 +27,7 @@ from typing import Optional
 
 from .errors import (
     AmbiguousInsertion,
+    HypothesisViolated,
     InvalidSymbol,
     NoInsertion,
     NotPRegular,
@@ -339,9 +340,10 @@ def mullineux_restricted(lam: Partition, p: int) -> Partition:
 
 
 def tau_closed_form(n: int, p: int) -> Partition:
-    """(p-1, ..., p-1, a) with ceil(n / (p-1)) parts summing to n."""
+    """(p-1, ..., p-1, a) with ceil(n / (p-1)) parts summing to n; p must be prime."""
+    check_prime(p)
     if n < 1:
-        raise ValueError("n must be positive")
+        raise HypothesisViolated("n must be positive")
     k = ceil(n / (p - 1))
     last = n - (p - 1) * (k - 1)
     return Partition([p - 1] * (k - 1) + [last])
@@ -353,8 +355,8 @@ def tau(n: int, p: int) -> Partition:
     Computed as conjugate(m((n))) and checked against the closed form
     (p-1, ..., p-1, a).
     """
-    value = mullineux_map(Partition((n,)), p).conjugate()
     expected = tau_closed_form(n, p)
+    value = mullineux_map(Partition((n,)), p).conjugate()
     if value != expected:
         raise AssertionError(f"tau({n}, {p}): {value} != closed form {expected}")
     return value

@@ -12,6 +12,7 @@ from __future__ import annotations
 from typing import Iterable, Iterator, Optional
 
 from .errors import (
+    HypothesisViolated,
     NonPartitionDifference,
     NotDistinctParts,
     Overflow,
@@ -98,7 +99,7 @@ class Partition:
     def is_p_regular(self, p: int) -> bool:
         """True when no part value repeats p or more times."""
         if p < 2:
-            raise ValueError("p must be at least 2")
+            raise HypothesisViolated("p must be at least 2")
         run = 0
         prev = None
         for part in self._parts:
@@ -111,7 +112,7 @@ class Partition:
     def is_p_restricted(self, p: int) -> bool:
         """True when successive differences (and the last part) are below p."""
         if p < 2:
-            raise ValueError("p must be at least 2")
+            raise HypothesisViolated("p must be at least 2")
         for i, part in enumerate(self._parts):
             nxt = self.part(i + 1)
             if part - nxt >= p:
@@ -181,7 +182,7 @@ def l_p(t: int, p: int) -> int:
     if t < 0:
         raise ValueError("t must be nonnegative")
     if p < 2:
-        raise ValueError("p must be at least 2")
+        raise HypothesisViolated("p must be at least 2")
     level = 0
     power = 1
     while t >= power:
@@ -202,14 +203,14 @@ def enumerate_partitions(
     reports are reproducible byte for byte.
     """
     if d < 0:
-        raise ValueError("d must be nonnegative")
+        raise HypothesisViolated("d must be nonnegative")
     if kind not in ("all", "p_regular", "distinct", "two_part"):
         raise ValueError(f"unknown enumeration kind {kind!r}")
     if kind == "p_regular":
         if p is None:
             raise ValueError("p_regular enumeration needs p")
         if p < 2:
-            raise ValueError("p must be at least 2")
+            raise HypothesisViolated("p must be at least 2")
 
     if kind == "two_part":
         for v in range(d, (d - 1) // 2, -1):

@@ -25,7 +25,7 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 from . import __version__
 from .abacus import block_census
 from .criteria import ks_ext1
-from .errors import NonPartitionDifference, Overflow
+from .errors import HypothesisViolated, NonPartitionDifference, Overflow, check_prime
 from .mullineux import mullineux_map
 from .partitions import _PART_MAX, Partition, enumerate_partitions
 
@@ -228,8 +228,9 @@ def multi_twist_scan(lam: Partition, p: int, max_b: int) -> SearchReport:
     the subtraction fails or the quotient is not integral are simply absent
     from the hits.
     """
+    check_prime(p)
     if max_b < 2:
-        raise ValueError("max_b must be at least 2")
+        raise HypothesisViolated("max_b must be at least 2")
     if lam and lam.part(0) > _PART_MAX // p**max_b:
         raise Overflow(f"p^{max_b} * {lam} exceeds 64-bit parts")
     start = time.perf_counter()

@@ -2,10 +2,15 @@
 
 Tabloids of shape lambda are encoded as assignment vectors (number -> row),
 packed into base-(number of rows) integer codes so a permutation action is a
-column gather plus a binary search.  Standard polytabloids, written in the
-tabloid basis, form the rows of an embedding matrix B; expressing permuted
-rows of B in terms of B again yields the generator matrices of the module on
-its own basis, with no straightening at any point.
+column gather plus a binary search.  The column group moves the cells of
+every tableau of a shape alike, so it is tabulated once, as the row each
+cell lands in under each column permutation; with the standard tableaux
+written as row-reading words, the codes of every term {c t} of every
+standard polytabloid e_t come out of one integer product.  The
+polytabloids, written in the tabloid basis, form the rows of an embedding
+matrix B; expressing permuted rows of B in terms of B again yields the
+generator matrices of the module on its own basis, with no straightening at
+any point.
 
 Coordinates in B need only the dim x dim block of B on the tabloids {t} of
 the standard tableaux t.  {t} is the dominance-largest tabloid of e_t
@@ -18,7 +23,10 @@ cached up to a fixed number of bytes.
 M^lambda is a transitive permutation module, so its fixed vectors are the
 multiples of the all-ones vector; the fixed space of S^lambda is therefore
 at most a line, and it is a line exactly when the all-ones vector lies in
-the row space of B.
+the row space of B.  Thin shapes are asked on the conjugate instead, with no
+elimination: a map from S^lambda' to the sign module is forced by its value
+on the generator e_t, so one sign functional is checked against the two
+generators.
 
 Hom spaces between two modules use the fact that a Specht module is
 generated by its first standard polytabloid: spin that vector to a basis,
@@ -47,7 +55,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import Inconclusive, Overflow, SizeMismatch, TooLarge, TwistlabError, check_prime
-from .gf import Echelon, mm, nullspace, rank, rref, rref_with_transform, solve_right
+from .gf import Echelon, mm, nullspace, rank, rref, rref_with_transform
 from .partitions import Partition
 
 DEFAULT_MAX_DIM = 100_000
@@ -114,6 +122,27 @@ def _perm_parity(perms: np.ndarray) -> np.ndarray:
     return np.where(inv % 2 == 0, 1, -1).astype(np.int8)
 
 
+def _column_group(parts: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """The column group of a shape acting on its cells, with the signs.
+
+    land[c, q] is the row to which column permutation c moves cell q, cells
+    numbered in row-reading order; row 0 is the identity.  The table is the
+    same for every tableau of the shape.
+    """
+    d = sum(parts)
+    start = np.cumsum((0,) + parts[:-1])  # reading index of each row's first cell
+    land = np.zeros((1, d), dtype=np.int8)
+    signs = np.ones(1, dtype=np.int8)
+    for j in range(parts[0] if parts else 0):
+        h = sum(1 for row in parts if row > j)
+        perms = np.array(list(itertools.permutations(range(h))), dtype=np.int8)
+        k = land.shape[0]
+        land = np.repeat(land, len(perms), axis=0)
+        land[:, start[:h] + j] = np.tile(perms, (k, 1))
+        signs = np.repeat(signs, len(perms)) * np.tile(_perm_parity(perms), k)
+    return land, signs
+
+
 def _tabloid_table(parts: tuple[int, ...], d: int) -> np.ndarray:
     """All assignment vectors (number -> row) with the given row sizes."""
     table = np.full((1, d), -1, dtype=np.int8)
@@ -143,10 +172,11 @@ class _Skeleton:
     gen_signs: tuple[int, int]
     b_signed: np.ndarray  # standard polytabloids over Z, entries in {-1,0,1}
     std: np.ndarray  # index of the tabloid {t} of each standard tableau t
+    tableau_signs: np.ndarray  # sgn(pi_s), where pi_s takes the first tableau to s
 
     @property
     def nbytes(self) -> int:
-        arrays = (self.codes, *self.sigma, self.b_signed, self.std)
+        arrays = (self.codes, *self.sigma, self.b_signed, self.std, self.tableau_signs)
         return sum(a.nbytes for a in arrays)
 
 
@@ -213,57 +243,33 @@ def _skeleton(parts: tuple[int, ...]) -> _Skeleton:
     table, codes = table[order], codes[order]
     m = table.shape[0]
 
-    def index_of(assign: np.ndarray) -> np.ndarray:
-        wanted = assign.astype(np.int64) @ powers
+    def index_of(wanted: np.ndarray) -> np.ndarray:
         found = np.searchsorted(codes, wanted)
         if found.size and (found.max() >= m or not np.array_equal(codes[found], wanted)):
             raise AssertionError("image is not a tabloid of this shape")
         return found
 
-    sigma = []
-    signs = []
-    for g in _generator_maps(d):
-        sigma.append(index_of(table[:, g]) if d else np.zeros(1, dtype=np.intp))
-        inversions = sum(
-            1 for i in range(d) for j in range(i + 1, d) if g[i] > g[j]
-        )
-        signs.append(-1 if inversions % 2 else 1)
+    gens = np.stack(_generator_maps(d))
+    sigma = [index_of(table[:, g] @ powers) for g in gens]
+    signs = [int(s) for s in _perm_parity(gens)]
 
-    tableaux = standard_tableaux(parts)
-    n_cols = parts[0] if parts else 0
-    b_rows = []
-    for t in tableaux:
-        assign = np.zeros((1, d), dtype=np.int8)
-        sign = np.ones(1, dtype=np.int8)
-        for j in range(n_cols):
-            column = np.array([t[i][j] for i in range(len(parts)) if parts[i] > j])
-            h = len(column)
-            perms = np.array(list(itertools.permutations(range(h))), dtype=np.intp)
-            parity = _perm_parity(perms)
-            k_prev = assign.shape[0]
-            assign = np.repeat(assign, len(perms), axis=0)
-            sign = np.repeat(sign, len(perms)) * np.tile(parity, k_prev)
-            hands = np.tile(perms, (k_prev, 1))
-            here = np.arange(assign.shape[0])
-            for slot in range(h):
-                # column j occupies the topmost h rows, so slot == row index
-                assign[here, column[hands[:, slot]]] = slot
-        vec = np.zeros(m, dtype=np.int8)
-        np.add.at(vec, index_of(assign), sign)
-        b_rows.append(vec)
-    b_signed = np.array(b_rows, dtype=np.int8)
-
-    rows_of = np.zeros((len(tableaux), d), dtype=np.int8)
-    for k, t in enumerate(tableaux):
-        for i, row in enumerate(t):
-            rows_of[k, row] = i
-    std = index_of(rows_of)
-
+    # words[s] lists tableau s cell by cell in row-reading order; the first
+    # word is 0, 1, ..., d-1, so its parity is the sign of pi_s
+    words = np.array([sum(t, []) for t in standard_tableaux(parts)], dtype=np.intp)
+    words = words.reshape(len(words), d)
     dim = hook_length_dim(lam)
-    if b_signed.shape[0] != dim:
-        raise AssertionError(f"{lam}: built {b_signed.shape[0]} polytabloids, expected {dim}")
+    if len(words) != dim:
+        raise AssertionError(f"{lam}: built {len(words)} polytabloids, expected {dim}")
+    land, col_signs = _column_group(parts)
+    # codes of {c.t} for every column permutation c (rows) and tableau t
+    # (columns); row 0 is the identity, so it holds the tabloids {t}
+    found = index_of(land @ powers[words].T)
+    b_signed = np.zeros((dim, m), dtype=np.int8)
+    # distinct column permutations give distinct tabloids: no sums needed
+    b_signed[np.arange(dim), found] = col_signs[:, None]
     return _Skeleton(
-        parts, d, m, dim, codes, (sigma[0], sigma[1]), (signs[0], signs[1]), b_signed, std
+        parts, d, m, dim, codes, (sigma[0], sigma[1]), (signs[0], signs[1]),
+        b_signed, found[0].copy(), _perm_parity(words),
     )
 
 
@@ -599,54 +605,23 @@ def invariants_dim(a: SpechtModule) -> int:
 def h0_dim(lam: Partition, p: int, max_dim: Optional[int] = None) -> int:
     """Dimension of the fixed space of S^lambda over GF(p), 0 or 1.
 
-    When lambda has no more tabloids than its conjugate this is the
-    membership test of the all-ones vector in S^lambda (invariants_dim).
-    Hooked and other thin shapes sit inside huge permutation modules even
-    when the Specht module itself is tiny, so when the conjugate shape has
-    fewer tabloids the same number is computed there instead: fixed vectors
-    of S^lambda correspond to maps from S^lambda' to the sign module, which
-    are cut out by the sign-twisted equivariance conditions.
+    The route goes to whichever of lambda and its conjugate has fewer
+    tabloids.  On lambda this is the membership test of the all-ones vector
+    (invariants_dim): one solve through the standard-tabloid block and one
+    1 x m recheck.  Hooked and other thin shapes sit inside huge permutation
+    modules even when the Specht module itself is tiny, so otherwise the
+    number is read on S^lambda': the fixed vectors of S^lambda are the maps
+    from S^lambda' to the sign module (James, LNM 682, section 8).  Such a
+    map f is determined by f(e_t) for the first standard tableau t, since
+    e_t generates S^lambda' (ibid., section 4), and f(e_s) = sgn(pi_s) f(e_t)
+    for s = pi_s t.  So the fixed space is nonzero exactly when the forced f
+    with f(e_t) = 1 satisfies G f = sgn(g) f for both generator matrices G.
+    The cost is building the two generator matrices (each a dim x dim by
+    dim x m coordinate recheck) plus two dim x dim by dim x 1 products.
     """
     if perm_module_dim(lam) <= perm_module_dim(lam.conjugate()):
         return invariants_dim(build_specht(lam, p, max_dim))
     module = build_specht(lam.conjugate(), p, max_dim)
-    signs = module.generator_signs()
-    eye = np.eye(module.dim, dtype=np.int64)
-    blocks = [
-        np.mod(module.generators()[k] - signs[k] * eye, p) for k in (0, 1)
-    ]
-    return nullspace(np.vstack(blocks), p).shape[0]
-
-
-def sign_dual_check(lam: Partition, p: int, max_dim: Optional[int] = None) -> bool:
-    """Verify sign-twisted S^lambda is equivalent to the dual of S^lambda'.
-
-    Builds both modules, twists one set of generator matrices by the sign
-    character, inverts and transposes the other, and looks for an invertible
-    equivariant map between them.
-    """
-    a = build_specht(lam, p, max_dim)
-    b = build_specht(lam.conjugate(), p, max_dim)
-    signs = a.generator_signs()
-    twisted = [np.mod(signs[k] * a.generators()[k], p) for k in (0, 1)]
-    eye = np.eye(b.dim, dtype=np.int64)
-    dual = [solve_right(b.generators()[k], eye, p).T for k in (0, 1)]
-    homs = _spin_hom(p, twisted, dual)
-    if not homs:
-        return False
-    for f in homs:
-        if rank(f, p) == a.dim:
-            return True
-    combos = (
-        itertools.product(range(p), repeat=len(homs))
-        if p ** len(homs) <= 4096
-        else (tuple(np.random.default_rng(s).integers(0, p, len(homs))) for s in range(200))
-    )
-    for coeffs in combos:
-        theta = np.zeros((a.dim, b.dim), dtype=np.int64)
-        for c, mat in zip(coeffs, homs):
-            theta = theta + int(c) * mat
-        theta %= p
-        if theta.any() and rank(theta, p) == a.dim:
-            return True
-    return False
+    forced = module._sk.tableau_signs[:, None]
+    pairs = zip(module.generators(), module.generator_signs())
+    return int(all(np.array_equal(mm(g, forced, p), np.mod(s * forced, p)) for g, s in pairs))

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import partitions
+from twistlab import errors
 from twistlab.cli import main
 
 
@@ -59,22 +60,82 @@ def test_bad_primes_exit_one(capsys, argv, error):
     assert err.startswith(f"{error}: ")
 
 
-@settings(max_examples=150, deadline=None)
-@given(
-    command=st.sampled_from([("mull",), ("mull", "--show-symbol"), ("symbol",), ("specht", "h0")]),
-    p=st.integers(min_value=-2, max_value=200),
-    lam=partitions(max_size=5),
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        ("abacus --p 0 --lambda 2,1", "HypothesisViolated"),
+        ("abacus --p -3 --lambda 2,1", "HypothesisViolated"),
+        ("abacus --p 1 --lambda 2,1", "HypothesisViolated"),
+        ("search census --p 0 --d 4", "HypothesisViolated"),
+        ("search census --p 1 --d 4", "HypothesisViolated"),
+        ("search census --p 3 --d -1", "HypothesisViolated"),
+        ("search fixed-points --p 1 --d 4", "HypothesisViolated"),
+        ("search fixed-points --p 5 --d -2", "HypothesisViolated"),
+        ("search p-image --p 1 --d 4", "HypothesisViolated"),
+        ("tau --p 5 --n 0", "HypothesisViolated"),
+        ("tau --p 5 --n -3", "HypothesisViolated"),
+        ("search multi-twist --p 5 --lambda 2,1 --max-b 1", "HypothesisViolated"),
+        ("search multi-twist --p 0 --lambda 2,1 --max-b 2", "NotPrime"),
+        ("search multi-twist --p -2 --lambda 2,1 --max-b 3", "NotPrime"),
+    ],
 )
-def test_fuzzed_primes_and_shapes_end_in_an_exit_code(command, p, lam):
-    argv = [*command, "--p", str(p), "--lambda", ",".join(map(str, lam.parts))]
+def test_bad_inputs_name_a_twistlab_error(capsys, argv, error):
+    code, out, err = run_cli(capsys, *argv.split())
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"{error}: ")
+    assert issubclass(getattr(errors, error), errors.TwistlabError)
+
+
+_FUZZ_P = st.integers(min_value=-2, max_value=200)
+
+
+def _arg(lam):
+    return ",".join(map(str, lam.parts))
+
+
+_FUZZ_ARGV = st.one_of(
+    st.builds(
+        lambda command, p, lam: [*command, "--p", str(p), "--lambda", _arg(lam)],
+        st.sampled_from(
+            [("mull",), ("mull", "--show-symbol"), ("symbol",), ("specht", "h0"), ("abacus",),
+             ("hat",)]
+        ),
+        _FUZZ_P,
+        partitions(max_size=5),
+    ),
+    st.builds(lambda p, n: ["tau", "--p", str(p), "--n", str(n)], _FUZZ_P, st.integers(-3, 30)),
+    st.builds(
+        lambda which, p, d: ["search", which, "--p", str(p), "--d", str(d)],
+        st.sampled_from(["census", "fixed-points", "p-image"]),
+        _FUZZ_P,
+        st.integers(-2, 8),
+    ),
+    st.builds(
+        lambda p, lam, b: ["search", "multi-twist", "--p", str(p), "--lambda", _arg(lam),
+                           "--max-b", str(b)],
+        _FUZZ_P,
+        partitions(max_size=4),
+        st.integers(-1, 4),
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=_FUZZ_ARGV)
+def test_fuzzed_primes_and_shapes_end_in_an_exit_code(argv):
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         try:
             code = main(argv)
         except SystemExit as exc:
             code = exc.code
-    assert code in (0, 1, 64), (argv, err.getvalue())
+    assert code in (0, 1, 2, 64), (argv, err.getvalue())
     assert "Traceback" not in err.getvalue()
+    if code == 1:
+        # every refusal names the TwistlabError behind it
+        name = err.getvalue().split(":", 1)[0]
+        assert issubclass(getattr(errors, name, type(None)), errors.TwistlabError), (argv, name)
 
 
 def test_malformed_partition_is_a_usage_error(capsys):

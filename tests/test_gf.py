@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from twistlab.gf import Echelon, mm, nullspace, rank, rref, solve_right
+from twistlab.gf import Echelon, mm, nullspace, rank, rref
 
 
 def random_matrix(rng, rows, cols, p):
@@ -46,23 +46,6 @@ def test_nullspace_annihilates(p):
     if basis.shape[0]:
         assert not mm(a, basis.T, p).any()
         assert rank(basis, p) == basis.shape[0]
-
-
-@pytest.mark.parametrize("p", [2, 3, 5])
-def test_solve_right_finds_a_preimage(p):
-    rng = np.random.default_rng(5)
-    a = random_matrix(rng, 6, 6, p)
-    x = random_matrix(rng, 6, 2, p)
-    b = mm(a, x, p)
-    got = solve_right(a, b, p)
-    assert np.array_equal(mm(a, got, p), b)
-
-
-def test_solve_right_reports_inconsistency():
-    a = np.array([[1, 0], [0, 0]], dtype=np.int64)
-    b = np.array([[0], [1]], dtype=np.int64)
-    with pytest.raises(np.linalg.LinAlgError):
-        solve_right(a, b, 3)
 
 
 def test_echelon_kernel_matches_nullspace():

@@ -7,7 +7,14 @@ from hypothesis import given, settings
 import twistlab.mullineux as mullineux_module
 
 from conftest import distinct_partitions, partitions, random_regular
-from twistlab.errors import InvalidSymbol, NoInsertion, NotPrime, NotPRegular, NotPRestricted
+from twistlab.errors import (
+    HypothesisViolated,
+    InvalidSymbol,
+    NoInsertion,
+    NotPrime,
+    NotPRegular,
+    NotPRestricted,
+)
 from twistlab.mullineux import (
     MullineuxSymbol,
     insert_p_rim,
@@ -105,6 +112,16 @@ def test_every_mullineux_entry_point_needs_a_prime():
     ):
         with pytest.raises(NotPrime):
             call()
+
+
+def test_tau_closed_form_checks_its_inputs():
+    for p in (1, 4, 0):
+        with pytest.raises(NotPrime):
+            tau_closed_form(5, p)
+    for n in (0, -3):
+        with pytest.raises(HypothesisViolated, match="n must be positive"):
+            tau_closed_form(n, 5)
+    assert tau_closed_form(5, 3).parts == (2, 2, 1)
 
 
 def test_symbol_round_trip_exhaustive():

@@ -1,3 +1,5 @@
+import itertools
+from dataclasses import fields
 from math import factorial
 
 import numpy as np
@@ -6,7 +8,7 @@ import pytest
 from twistlab import specht
 from twistlab.criteria import h0_specht_nonzero
 from twistlab.errors import NotPrime, Overflow, SizeMismatch, TooLarge, TwistlabError
-from twistlab.gf import Echelon, mm, rank, rref_with_transform
+from twistlab.gf import Echelon, mm, nullspace, rank, rref, rref_with_transform
 from twistlab.partitions import Partition, enumerate_partitions
 from twistlab.specht import (
     _spin_basis,
@@ -19,7 +21,6 @@ from twistlab.specht import (
     hom_space_direct,
     invariants_dim,
     is_decomposable,
-    sign_dual_check,
 )
 
 
@@ -155,6 +156,72 @@ def test_decomposability_is_seed_independent_when_enumerating():
     assert is_decomposable(module, seed=0) == is_decomposable(module, seed=99)
 
 
+def solve_right(a, b, p):
+    """One solution x of a @ x == b mod p, or raise if inconsistent."""
+    arr = np.mod(np.asarray(a, dtype=np.int64), p)
+    rhs = np.mod(np.asarray(b, dtype=np.int64), p)
+    red, piv = rref(np.hstack([arr, rhs]), p)
+    n = arr.shape[1]
+    if any(c >= n for c in piv):
+        raise np.linalg.LinAlgError("inconsistent system")
+    x = np.zeros((n, rhs.shape[1]), dtype=np.int64)
+    for i, c in enumerate(piv):
+        x[c] = red[i, n:]
+    return x
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_solve_right_finds_a_preimage(p):
+    rng = np.random.default_rng(5)
+    a = rng.integers(0, p, size=(6, 6), dtype=np.int64)
+    x = rng.integers(0, p, size=(6, 2), dtype=np.int64)
+    b = mm(a, x, p)
+    got = solve_right(a, b, p)
+    assert np.array_equal(mm(a, got, p), b)
+
+
+def test_solve_right_reports_inconsistency():
+    a = np.array([[1, 0], [0, 0]], dtype=np.int64)
+    b = np.array([[0], [1]], dtype=np.int64)
+    with pytest.raises(np.linalg.LinAlgError):
+        solve_right(a, b, 3)
+
+
+def sign_dual_check(lam, p):
+    """Verify sign-twisted S^lambda is equivalent to the dual of S^lambda'.
+
+    Builds both modules, twists one set of generator matrices by the sign
+    character, inverts and transposes the other, and looks for an invertible
+    equivariant map between them.  This is the isomorphism the forced sign
+    functional of h0_dim rests on.
+    """
+    a = build_specht(lam, p)
+    b = build_specht(lam.conjugate(), p)
+    signs = a.generator_signs()
+    twisted = [np.mod(signs[k] * a.generators()[k], p) for k in (0, 1)]
+    eye = np.eye(b.dim, dtype=np.int64)
+    dual = [solve_right(b.generators()[k], eye, p).T for k in (0, 1)]
+    homs = _spin_hom(p, twisted, dual)
+    if not homs:
+        return False
+    for f in homs:
+        if rank(f, p) == a.dim:
+            return True
+    combos = (
+        itertools.product(range(p), repeat=len(homs))
+        if p ** len(homs) <= 4096
+        else (tuple(np.random.default_rng(s).integers(0, p, len(homs))) for s in range(200))
+    )
+    for coeffs in combos:
+        theta = np.zeros((a.dim, b.dim), dtype=np.int64)
+        for c, mat in zip(coeffs, homs):
+            theta = theta + int(c) * mat
+        theta %= p
+        if theta.any() and rank(theta, p) == a.dim:
+            return True
+    return False
+
+
 def test_sign_dual_relation_on_small_shapes():
     for p in (2, 3, 5):
         for d in (3, 4, 5):
@@ -189,9 +256,114 @@ def test_invariants_match_congruence_criterion():
         assert (fixed > 0) == h0_specht_nonzero(lam, p), (lam, p)
 
 
+def _sign_nullspace_h0(lam, p):
+    """Oracle: the dimension of Hom(S^lambda', sgn), by row-reducing its conditions.
+
+    A functional x on S^lambda' is sign-equivariant when G x = sgn(g) x for
+    both generator matrices G; the stacked conditions are solved outright.
+    """
+    module = build_specht(lam.conjugate(), p)
+    eye = np.eye(module.dim, dtype=np.int64)
+    blocks = [
+        np.mod(gen - sign * eye, p)
+        for gen, sign in zip(module.generators(), module.generator_signs())
+    ]
+    return nullspace(np.vstack(blocks), p).shape[0]
+
+
 def test_h0_dim_agrees_with_direct_invariants():
     for lam, p in SMALL_CASES:
-        assert h0_dim(lam, p) == _echelon_fixed_dim(build_specht(lam, p)), (lam, p)
+        got = h0_dim(lam, p)
+        assert got == _echelon_fixed_dim(build_specht(lam, p)), (lam, p)
+        assert got == _sign_nullspace_h0(lam, p), (lam, p)
+
+
+def test_h0_dim_needs_no_elimination(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("h0_dim row-reduced a system")
+
+    monkeypatch.setattr(specht, "nullspace", refuse)
+    for p in (2, 3):
+        for d in range(1, 9):
+            for lam in enumerate_partitions(d, "all"):
+                assert h0_dim(lam, p) == int(h0_specht_nonzero(lam, p)), (lam, p)
+
+
+def _per_tableau_polytabloids(parts):
+    """Reference: each e_t built on its own, one column of t at a time."""
+    sk = specht._skeleton(parts)
+    d = sk.d
+    powers = max(len(parts), 1) ** np.arange(d, dtype=np.int64)
+
+    def index_of(assign):
+        return np.searchsorted(sk.codes, assign.astype(np.int64) @ powers)
+
+    tableaux = specht.standard_tableaux(parts)
+    n_cols = parts[0] if parts else 0
+    b_rows = []
+    for t in tableaux:
+        assign = np.zeros((1, d), dtype=np.int8)
+        sign = np.ones(1, dtype=np.int8)
+        for j in range(n_cols):
+            column = np.array([t[i][j] for i in range(len(parts)) if parts[i] > j])
+            h = len(column)
+            perms = np.array(list(itertools.permutations(range(h))), dtype=np.intp)
+            parity = specht._perm_parity(perms)
+            k_prev = assign.shape[0]
+            assign = np.repeat(assign, len(perms), axis=0)
+            sign = np.repeat(sign, len(perms)) * np.tile(parity, k_prev)
+            hands = np.tile(perms, (k_prev, 1))
+            here = np.arange(assign.shape[0])
+            for slot in range(h):
+                # column j occupies the topmost h rows, so slot == row index
+                assign[here, column[hands[:, slot]]] = slot
+        vec = np.zeros(sk.m, dtype=np.int8)
+        np.add.at(vec, index_of(assign), sign)
+        b_rows.append(vec)
+    rows_of = np.zeros((len(tableaux), d), dtype=np.int8)
+    for k, t in enumerate(tableaux):
+        for i, row in enumerate(t):
+            rows_of[k, row] = i
+    return np.array(b_rows, dtype=np.int8), index_of(rows_of)
+
+
+def test_one_product_polytabloids_match_the_per_tableau_loop():
+    shapes = [lam.parts for d in range(9) for lam in enumerate_partitions(d, "all")]
+    for parts in shapes + [(3,) + (1,) * 6, (9,) + (1,) * 4]:
+        b_signed, std = _per_tableau_polytabloids(parts)
+        sk = specht._skeleton(parts)
+        assert sk.b_signed.dtype == b_signed.dtype and np.array_equal(sk.b_signed, b_signed), parts
+        assert sk.std.dtype == std.dtype and np.array_equal(sk.std, std), parts
+
+
+def test_tableau_signs_move_the_first_tableau():
+    # pi_s sends the entry in each cell of the first tableau to the entry of s
+    for d in range(1, 8):
+        for lam in enumerate_partitions(d, "all"):
+            tableaux = specht.standard_tableaux(lam.parts)
+            first = sum(tableaux[0], [])
+            want = []
+            for t in tableaux:
+                pi = dict(zip(first, sum(t, [])))
+                # parity by counting the cycles of pi
+                seen, cycles = set(), 0
+                for start in pi:
+                    if start not in seen:
+                        cycles += 1
+                        while start not in seen:
+                            seen.add(start)
+                            start = pi[start]
+                want.append(1 if (d - cycles) % 2 == 0 else -1)
+            assert specht._skeleton(lam.parts).tableau_signs.tolist() == want, lam
+
+
+def test_skeleton_nbytes_counts_every_array():
+    sk = specht._skeleton((3, 2, 1))
+    values = [getattr(sk, field.name) for field in fields(sk)]
+    flat = [v for value in values for v in (value if isinstance(value, tuple) else (value,))]
+    arrays = [a for a in flat if isinstance(a, np.ndarray)]
+    assert len(arrays) == 6  # codes, both sigma, b_signed, std, tableau_signs
+    assert sk.nbytes == sum(a.nbytes for a in arrays)
 
 
 def test_std_block_generators_match_full_basis_elimination():
