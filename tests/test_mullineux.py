@@ -132,27 +132,125 @@ def test_symbol_round_trip_exhaustive():
                 assert reconstruct_from_symbol(sym) == lam
 
 
+def _signature(parts, i, p):
+    """The i-signature: addable (+1) and removable (-1) i-nodes, top row down,
+    each adjacent (+, -) pair cancelled until none is left; entries are
+    (sign, row)."""
+    rows = list(parts) + [0]
+    marks = []
+    for row, part in enumerate(rows):
+        if (part - row) % p == i and (row == 0 or rows[row - 1] > part):
+            marks.append((1, row))  # the cell (row, part) is addable
+        if part and (part - 1 - row) % p == i and part > rows[row + 1]:
+            marks.append((-1, row))  # the cell (row, part - 1) is removable
+    kept = []
+    for mark in marks:
+        if kept and kept[-1][0] == 1 and mark[0] == -1:
+            kept.pop()
+        else:
+            kept.append(mark)
+    return kept
+
+
+def crystal_mullineux(lam, p):
+    """Kleshchev's route to the Mullineux image, with no rim removal.
+
+    Remove good nodes (the lowest uncancelled removable i-node) down to the
+    empty partition, recording residues i; then add cogood nodes (the
+    highest uncancelled addable node) of residue -i in the reverse order
+    (Ford-Kleshchev 1997; Bessenrodt-Olsson 1998).
+    """
+    parts = list(lam.parts)
+    residues = []
+    while parts:
+        for i in range(p):
+            removable = [row for sign, row in _signature(parts, i, p) if sign == -1]
+            if removable:
+                parts[removable[-1]] -= 1
+                residues.append(i)
+                break
+        else:
+            raise AssertionError(f"{lam} has no good node")
+        while parts and not parts[-1]:
+            parts.pop()
+    for i in reversed(residues):
+        addable = [row for sign, row in _signature(parts, -i % p, p) if sign == 1]
+        row = addable[0]
+        if row == len(parts):
+            parts.append(0)
+        parts[row] += 1
+    return Partition(parts)
+
+
+def test_crystal_oracle_matches_the_rim_symbol():
+    for p in (2, 3, 5, 7):
+        for d in range(1, 21):
+            for lam in enumerate_partitions(d, "p_regular", p):
+                assert mullineux_map(lam, p) == crystal_mullineux(lam, p), (lam, p)
+    for p in (3, 5):
+        for d in range(1, 7):
+            for lam in enumerate_partitions(d, "p_regular", p):
+                for big in (lam.scale(p), lam.scale(p * p)):
+                    assert mullineux_map(big, p) == crystal_mullineux(big, p), (big, p)
+
+
 def brute_force_insertions(mu, a, r, p):
-    """All nu of |mu| + a with r rows whose p-rim removal gives back (mu, a)."""
+    """Every nu with r rows whose p-rim removal gives back (mu, a).
+
+    Stripping a p-rim takes between 1 and p nodes from every row, so the
+    candidates are mu, padded to r rows, grown by 1..p nodes in each row;
+    each one that is a partition is stripped and kept if it gives (mu, a).
+    """
+    rows = list(mu.parts) + [0] * (r - len(mu.parts))
+    if len(rows) != r:
+        return []
     found = []
-    for nu in enumerate_partitions(mu.size + a, "all"):
-        if len(nu.parts) != r:
-            continue
-        rest, size = remove_p_rim(nu, p)
-        if rest == mu and size == a:
-            found.append(nu)
+
+    def grow(nu, remaining):
+        j = len(nu)
+        if j == r:
+            if remaining == 0 and remove_p_rim(Partition(nu), p) == (mu, a):
+                found.append(Partition(nu))
+            return
+        for c in range(1, p + 1):
+            if j and rows[j] + c > nu[-1]:
+                break
+            if r - j - 1 <= remaining - c <= (r - j - 1) * p:
+                grow(nu + [rows[j] + c], remaining - c)
+
+    grow([], a)
     return found
 
 
 def test_insertion_matches_brute_force():
     # every removal step must invert uniquely; sweep all small diagrams
     for total in range(1, 13):
-        for p in (2, 3, 5):
+        for p in (2, 3, 5, 7):
             for nu in enumerate_partitions(total, "all"):
                 mu, a = remove_p_rim(nu, p)
                 candidates = brute_force_insertions(mu, a, len(nu.parts), p)
                 assert candidates == [nu]
                 assert insert_p_rim(mu, a, len(nu.parts), p) == nu
+
+
+def test_insertion_matches_brute_force_on_random_requests():
+    # mostly impossible requests: NoInsertion exactly when nothing strips back
+    rng = random.Random(7)
+    shapes = [lam for d in range(11) for lam in enumerate_partitions(d, "all")]
+    found = 0
+    for _ in range(4000):
+        p = rng.choice((2, 3, 5, 7))
+        mu = rng.choice(shapes)
+        r = rng.randint(1, 6)
+        a = rng.randint(0, r * p + 2)
+        candidates = brute_force_insertions(mu, a, r, p)
+        if not candidates:
+            with pytest.raises(NoInsertion):
+                insert_p_rim(mu, a, r, p)
+            continue
+        found += 1
+        assert candidates == [insert_p_rim(mu, a, r, p)], (mu, a, r, p)
+    assert found > 250
 
 
 def test_insertion_rejects_impossible_requests():
