@@ -11,7 +11,6 @@ The package has three layers:
 """
 
 from .errors import (
-    AmbiguousInsertion,
     CongruenceViolated,
     EqualSizeRequired,
     HypothesisViolated,
@@ -43,7 +42,6 @@ from .mullineux import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AmbiguousInsertion",
     "CongruenceViolated",
     "EqualSizeRequired",
     "HypothesisViolated",

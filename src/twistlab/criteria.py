@@ -98,7 +98,8 @@ def ks_twist_stable(p: int, lam: Partition, mu: Partition) -> bool:
     """Check that Ext^1 is unchanged when both labels are scaled from p to p^2."""
     once = ks_ext1(p, lam.scale(p), mu.scale(p))
     twice = ks_ext1(p, lam.scale(p * p), mu.scale(p * p))
-    assert once == twice, (lam, mu, once, twice)
+    if once != twice:
+        raise AssertionError(f"Ext^1 of ({lam}, {mu}) scaled by p and p^2: {once} != {twice}")
     return True
 
 
@@ -213,9 +214,13 @@ def murphy_indecomposable(d: int, r: int) -> bool:
 def murphy_twist_invariance(d: int, r: int) -> bool:
     """Check the two hook stability laws: End under d+2, decomposability under d+2^L."""
     _check_hook(d, r)
-    assert murphy_end_dim(d, r) == murphy_end_dim(d + 2, r)
+    if murphy_end_dim(d, r) != murphy_end_dim(d + 2, r):
+        raise AssertionError(f"End dimension of the leg-{r} hook changes from d={d} to d={d + 2}")
     step = 1 << r.bit_length()
-    assert murphy_indecomposable(d, r) == murphy_indecomposable(d + step, r)
+    if murphy_indecomposable(d, r) != murphy_indecomposable(d + step, r):
+        raise AssertionError(
+            f"decomposability of the leg-{r} hook changes from d={d} to d={d + step}"
+        )
     return True
 
 
@@ -254,5 +259,6 @@ def h0_prepend_stable(lam: Partition, a: int, p: int) -> bool:
         raise CongruenceViolated(f"a={a} is not -1 mod p^{l_p(top, p)}")
     before = h0_specht_nonzero(lam, p)
     after = h0_specht_nonzero(Partition((a,) + lam.parts), p)
-    assert before == after, (lam, a, before, after)
+    if before != after:
+        raise AssertionError(f"prepending {a} to {lam} turns the H^0 test {before} -> {after}")
     return True

@@ -47,10 +47,6 @@ class NoInsertion(TwistlabError):
     """No valid rim insertion exists with the requested endpoint row and size."""
 
 
-class AmbiguousInsertion(TwistlabError):
-    """More than one rim insertion matched; reconstruction refused to guess."""
-
-
 class NotTwoPart(TwistlabError):
     """A two-part partition (lambda_1, lambda_2) was required."""
 
@@ -71,7 +67,7 @@ class HypothesisViolated(TwistlabError, ValueError):
     """Input failed a stated hypothesis of the formula being evaluated.
 
     Also a ValueError, so callers that caught the bare ValueError it replaced
-    (a prime below 2, a negative degree, an empty twist range) still do.
+    (a prime below 2, a negative degree or part, an empty twist range) still do.
     """
 
 

@@ -12,10 +12,10 @@ symbol of p^b * lam has a few runs, each about p^b columns long.  Removal and
 insertion walk a run with one engine, `_cycle_jump`: single steps record
 their strip profiles, and once the latest profiles repeat with some period
 the state moves by whole cycles in one arithmetic step, checked by stripping
-its first and last cycle.  Removal is cheap and deterministic.  Insertion
-(the inverse) is a small depth-first search over per-row removal counts,
-forward-verified before anything is returned, so a wrong reconstruction
-cannot escape quietly.
+its first and last cycle.  Insertion (the inverse of one removal) is one
+pass up the rows: read from the bottom row up, the rim forces how many nodes
+each row gets, and the one candidate is stripped back before it is returned,
+so a wrong reconstruction cannot escape quietly.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from math import ceil
 from typing import Optional
 
 from .errors import (
-    AmbiguousInsertion,
     HypothesisViolated,
     InvalidSymbol,
     NoInsertion,
@@ -139,7 +138,7 @@ def _cycle_jump(
 def remove_p_rim(lam: Partition, p: int) -> tuple[Partition, int]:
     """Strip the p-rim; returns the remainder and the number of nodes removed."""
     if not lam:
-        raise ValueError("cannot remove a rim from the empty partition")
+        raise HypothesisViolated("cannot remove a rim from the empty partition")
     rest, a = _strip_raw(lam.parts, p)
     return Partition(rest), a
 
@@ -197,73 +196,37 @@ def _insert_raw(mu: tuple[int, ...], a: int, r: int, p: int) -> tuple[int, ...]:
     if not (r <= a <= r * p):
         raise NoInsertion(f"a {p}-rim over {r} rows holds between {r} and {r * p} nodes")
 
-    row_of = [mu[i] if i < len(mu) else 0 for i in range(r)]
-    solutions: set[tuple[int, ...]] = set()
-    counts = [0] * r
-    last = r - 1
-
-    # state: row j, remaining nodes, current budget, constraint on counts[j]
-    # (an upper bound after a full-budget row, an exact value after a short one)
-    def place(j: int, remaining: int, budget: int, forced: int, bound: int) -> None:
-        rows_left = r - j
-        if remaining < rows_left or remaining > rows_left * p:
-            return
-        cap = budget if budget < bound else bound
-        if cap > p:
-            cap = p
-        if j:
-            slack = row_of[j - 1] + counts[j - 1] - row_of[j]
-            if cap > slack:
-                cap = slack  # nu must stay weakly decreasing
-        if j == last:
-            c = remaining
-            if c < 1 or c > cap or (forced and c != forced):
-                return
-            if c < budget and row_of[j] != 0:
-                return  # a short final row only fits below the old diagram
-            counts[j] = c
-            solutions.add(tuple(counts))
-            return
-        if forced:
-            if forced > cap:
-                return
-            lo = hi = forced
-        else:
-            lo, hi = 1, cap
-        gap = row_of[j] - row_of[j + 1] + 1
-        for c in range(hi, lo - 1, -1):
-            counts[j] = c
-            if c == budget:
-                place(j + 1, remaining - c, p, 0, gap)
-            elif 1 <= gap <= p:
-                place(j + 1, remaining - c, budget - c, gap, gap)
-
-    place(0, a, p, 0, p)
-
-    verified = set()
-    for sol in solutions:
-        nu = tuple(row_of[i] + sol[i] for i in range(r))
-        if nu[-1] < 1:
-            continue
-        rest, size = _strip_raw(nu, p)
-        if rest == mu and size == a:
-            verified.add(nu)
-    if not verified:
+    row_of = list(mu) + [0] * (r - len(mu))
+    nu = row_of[:]
+    left = a - p * ((a - 1) // p)  # the bottom segment; every other one holds p
+    for j in range(r - 1, 0, -1):
+        gap = row_of[j - 1] - row_of[j] + 1
+        if left > gap:  # row j continues a segment that starts higher up
+            nu[j] += gap
+            left -= gap
+        else:  # row j starts its segment, and the segment above is full
+            nu[j] += left
+            left = p
+    nu[0] += left
+    if any(x < y for x, y in zip(nu, nu[1:])) or _strip_raw(tuple(nu), p) != (mu, a):
         raise NoInsertion(f"no partition with {r} rows yields rim size {a} under {p}-rim removal")
-    if len(verified) > 1:
-        raise AmbiguousInsertion(
-            f"{len(verified)} partitions yield the same rim data: {sorted(verified, reverse=True)}"
-        )
-    return verified.pop()
+    return tuple(nu)
 
 
 def insert_p_rim(mu: Partition, a: int, r: int, p: int) -> Partition:
     """The unique nu with r rows such that remove_p_rim(nu, p) == (mu, a).
 
-    Searches per-row removal counts consistent with the rim rule, then
-    forward-verifies every candidate.  Raises NoInsertion when nothing fits
-    and AmbiguousInsertion if more than one nu passes (which would mean the
-    rim rule is not invertible here; treated as a bug signal).
+    The rim read from the bottom row up forces every row count.  Pad mu
+    with zeros to r rows and let gap_j = mu_{j-1} - mu_j + 1.  A row that
+    continues the segment of the row above loses exactly gap_j nodes (that
+    row was short, so it kept nu_j - 1 nodes), and a row that starts a
+    segment loses at most gap_j (the row above filled its budget).  Every
+    segment holds p nodes except the bottom one, which holds the rest of a,
+    1 to p nodes.  So with `left` nodes of a segment still to lay out, row j
+    must continue the segment when left > gap_j, and must start it
+    otherwise, since continuing would leave no node for the rows above.
+    The one candidate is then stripped back; NoInsertion is raised when it
+    is not a partition or does not strip to (mu, a).
     """
     return Partition(_insert_raw(mu.parts, a, r, p))
 
@@ -293,9 +256,9 @@ def _rebuild_run(nu: tuple[int, ...], a: int, r: int, p: int, run: int) -> tuple
     decreasing).  With the profiles fixed each of these is a linear
     (in)equality in j, so it holds for every j between two values at which
     it holds.  Stripping is a function, so the stripped states are the ones
-    single strips reach.  Rim insertion is unique, so a state that strips
-    back through the cycle is the state that single insertions would have
-    built.
+    single strips reach.  Rim insertion is unique (the upward pass in
+    `insert_p_rim` forces every row count), so a state that strips back
+    through the cycle is the state that single insertions would have built.
     """
     done = 0
     history: list[tuple[int, ...]] = []

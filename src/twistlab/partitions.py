@@ -32,11 +32,11 @@ class Partition:
         for raw in parts:
             part = int(raw)
             if part < 0:
-                raise ValueError(f"negative part {part}")
+                raise HypothesisViolated(f"negative part {part}")
             if part > _PART_MAX:
                 raise Overflow(f"part {part} exceeds the 64-bit limit")
             if prev is not None and part > prev:
-                raise ValueError(f"parts not weakly decreasing: {part} after {prev}")
+                raise HypothesisViolated(f"parts not weakly decreasing: {part} after {prev}")
             prev = part
             if part > 0:
                 cleaned.append(part)
@@ -125,7 +125,7 @@ class Partition:
     def scale(self, c: int) -> "Partition":
         """Multiply every part by c >= 0, refusing to leave 64-bit range."""
         if c < 0:
-            raise ValueError("scale factor must be nonnegative")
+            raise HypothesisViolated("scale factor must be nonnegative")
         if self._parts and c and self._parts[0] > _PART_MAX // c:
             raise Overflow(f"{c} * {self._parts[0]} exceeds the 64-bit limit")
         return Partition(part * c for part in self._parts)
@@ -171,7 +171,7 @@ class Partition:
     def divide(self, c: int) -> Optional["Partition"]:
         """Exact row-wise quotient by c, or None if some part is not divisible."""
         if c <= 0:
-            raise ValueError("divisor must be positive")
+            raise HypothesisViolated("divisor must be positive")
         if any(part % c for part in self._parts):
             return None
         return Partition(part // c for part in self._parts)
@@ -180,7 +180,7 @@ class Partition:
 def l_p(t: int, p: int) -> int:
     """Least l with t < p**l."""
     if t < 0:
-        raise ValueError("t must be nonnegative")
+        raise HypothesisViolated("t must be nonnegative")
     if p < 2:
         raise HypothesisViolated("p must be at least 2")
     level = 0
@@ -205,10 +205,10 @@ def enumerate_partitions(
     if d < 0:
         raise HypothesisViolated("d must be nonnegative")
     if kind not in ("all", "p_regular", "distinct", "two_part"):
-        raise ValueError(f"unknown enumeration kind {kind!r}")
+        raise HypothesisViolated(f"unknown enumeration kind {kind!r}")
     if kind == "p_regular":
         if p is None:
-            raise ValueError("p_regular enumeration needs p")
+            raise HypothesisViolated("p_regular enumeration needs p")
         if p < 2:
             raise HypothesisViolated("p must be at least 2")
 

@@ -97,7 +97,7 @@ def standard_tableaux(parts: tuple[int, ...]) -> list[list[list[int]]]:
     out: list[list[list[int]]] = []
     rows: list[list[int]] = [[] for _ in parts]
 
-    def place(k: int) -> None:
+    def fill(k: int) -> None:
         if k == d:
             out.append([list(r) for r in rows])
             return
@@ -105,10 +105,10 @@ def standard_tableaux(parts: tuple[int, ...]) -> list[list[list[int]]]:
             filled = len(rows[i])
             if filled < row_len and (i == 0 or len(rows[i - 1]) > filled):
                 rows[i].append(k)
-                place(k + 1)
+                fill(k + 1)
                 rows[i].pop()
 
-    place(0)
+    fill(0)
     return out
 
 

@@ -99,15 +99,24 @@ _FUZZ_ARGV = st.one_of(
         lambda command, p, lam: [*command, "--p", str(p), "--lambda", _arg(lam)],
         st.sampled_from(
             [("mull",), ("mull", "--show-symbol"), ("symbol",), ("specht", "h0"), ("abacus",),
-             ("hat",)]
+             ("hat",), ("h0",), ("specht", "decomposable")]
         ),
         _FUZZ_P,
         partitions(max_size=5),
     ),
+    st.builds(
+        lambda command, p, lam, mu: [*command, "--p", str(p), "--lam", _arg(lam), "--mu", _arg(mu)],
+        st.sampled_from([("ks-ext",), ("specht", "hom")]),
+        _FUZZ_P,
+        partitions(max_size=5),
+        partitions(max_size=5),
+    ),
+    st.builds(lambda d, r: ["murphy", "--d", str(d), "--r", str(r)], st.integers(-2, 40),
+              st.integers(-2, 12)),
     st.builds(lambda p, n: ["tau", "--p", str(p), "--n", str(n)], _FUZZ_P, st.integers(-3, 30)),
     st.builds(
         lambda which, p, d: ["search", which, "--p", str(p), "--d", str(d)],
-        st.sampled_from(["census", "fixed-points", "p-image"]),
+        st.sampled_from(["census", "fixed-points", "p-image", "persistence", "ks-stability"]),
         _FUZZ_P,
         st.integers(-2, 8),
     ),
@@ -121,7 +130,7 @@ _FUZZ_ARGV = st.one_of(
 )
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=400, deadline=None)
 @given(argv=_FUZZ_ARGV)
 def test_fuzzed_primes_and_shapes_end_in_an_exit_code(argv):
     err = io.StringIO()

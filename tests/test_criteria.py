@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import twistlab.criteria as criteria
 from twistlab.criteria import (
     h0_failed_row,
     h0_prepend_stable,
@@ -154,3 +155,20 @@ def test_h0_prepend_stability():
     assert h0_prepend_stable(lam, a, p)
     with pytest.raises(CongruenceViolated):
         h0_prepend_stable(lam, 9, p)
+
+
+@pytest.mark.parametrize(
+    "inner, check",
+    [
+        ("ks_ext1", lambda: ks_twist_stable(3, Partition((20, 9)), Partition((26, 3)))),
+        ("murphy_end_dim", lambda: murphy_twist_invariance(7, 2)),
+        ("murphy_indecomposable", lambda: murphy_twist_invariance(7, 2)),
+        ("h0_specht_nonzero", lambda: h0_prepend_stable(Partition((8, 2)), 17, 3)),
+    ],
+)
+def test_checked_booleans_raise_when_their_sides_disagree(monkeypatch, inner, check):
+    # an explicit raise, so the check survives python -O, which strips asserts
+    answers = iter(range(10))
+    monkeypatch.setattr(criteria, inner, lambda *args: next(answers))
+    with pytest.raises(AssertionError):
+        check()

@@ -133,9 +133,11 @@ def test_symbol_round_trip_exhaustive():
 
 
 def _signature(parts, i, p):
-    """The i-signature: addable (+1) and removable (-1) i-nodes, top row down,
-    each adjacent (+, -) pair cancelled until none is left; entries are
-    (sign, row)."""
+    """The reduced i-signature as (sign, row) pairs, top row down.
+
+    Addable i-nodes are +1 and removable ones -1; each adjacent (+, -) pair
+    is cancelled until none is left.
+    """
     rows = list(parts) + [0]
     marks = []
     for row, part in enumerate(rows):

@@ -4,7 +4,13 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import partitions
-from twistlab.errors import NonPartitionDifference, NotDistinctParts, Overflow
+from twistlab.errors import (
+    NonPartitionDifference,
+    NotDistinctParts,
+    Overflow,
+    TwistlabError,
+)
+from twistlab.mullineux import remove_p_rim
 from twistlab.partitions import Partition, enumerate_partitions, l_p
 
 
@@ -34,6 +40,27 @@ def test_normalization_drops_zeros():
 def test_rejects_increasing_parts():
     with pytest.raises(ValueError):
         Partition((1, 3))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: Partition((3, -1)),
+        lambda: Partition((1, 3)),
+        lambda: Partition((2, 1)).scale(-1),
+        lambda: Partition((2, 1)).divide(0),
+        lambda: Partition((2, 1)).divide(-2),
+        lambda: l_p(-1, 3),
+        lambda: list(enumerate_partitions(4, "odd")),
+        lambda: list(enumerate_partitions(4, "p_regular")),
+        lambda: remove_p_rim(Partition(()), 3),
+    ],
+)
+def test_bad_shapes_and_arguments_are_twistlab_value_errors(call):
+    # a TwistlabError for the command line, still a ValueError for older callers
+    with pytest.raises(TwistlabError) as info:
+        call()
+    assert isinstance(info.value, ValueError)
 
 
 def test_conjugate_known_values():
