@@ -46,8 +46,9 @@ from .specht import (
     ENUMERATE_BOUND,
     build_specht,
     end_ring,
+    h0_dim,
     hom_dim,
-    invariants_dim,
+    hook_length_dim,
     is_decomposable,
 )
 
@@ -200,10 +201,10 @@ def _cmd_specht_decomposable(args: argparse.Namespace) -> Payload:
 
 
 def _cmd_specht_h0(args: argparse.Namespace) -> Payload:
-    module = build_specht(args.lam, args.p)
+    result = h0_dim(args.lam, args.p)
     payload = {
-        "dims": [module.dim],
-        "result": invariants_dim(module),
+        "dims": [hook_length_dim(args.lam)],
+        "result": result,
         "method": "enumerated",
     }
     return payload, 0
@@ -221,8 +222,6 @@ _SCANS: Dict[str, Tuple[Callable[..., SearchReport], Tuple[str, ...], bool]] = {
 
 
 def _run_scan(which: str, inputs: Dict[str, Any], jobs: int = 1) -> SearchReport:
-    if which not in _SCANS:
-        raise TwistlabError(f"unknown search {which!r}")
     scan, keys, sharded = _SCANS[which]
     values = [Partition(inputs[k]) if k == "lambda" else inputs[k] for k in keys]
     return scan(*values, jobs=jobs) if sharded else scan(*values)
@@ -259,32 +258,63 @@ def _eval_fixture(fx: Dict[str, Any]) -> Any:
     if kind == "h0":
         return h0_failed_row(Partition(inputs["lambda"]), inputs["p"]) is None
     if kind == "specht":
-        p = inputs["p"]
-        lam = Partition(inputs["lambda"])
-        module = build_specht(lam, p)
+        p, lam, wanted = inputs["p"], Partition(inputs["lambda"]), fx["expected"]
         out: Dict[str, Any] = {}
-        if "mu" in inputs:
-            out["hom_dim"] = hom_dim(module, build_specht(Partition(inputs["mu"]), p))
-        if "decomposable" in fx["expected"]:
-            out["decomposable"] = is_decomposable(module)
-        if "invariants" in fx["expected"]:
-            out["invariants"] = invariants_dim(module)
-        if "end_dim" in fx["expected"]:
-            out["end_dim"] = len(end_ring(module))
+        if "invariants" in wanted:
+            out["invariants"] = h0_dim(lam, p)
+        if "mu" in inputs or wanted.keys() - {"invariants"}:
+            module = build_specht(lam, p)
+            if "mu" in inputs:
+                out["hom_dim"] = hom_dim(module, build_specht(Partition(inputs["mu"]), p))
+            if "decomposable" in wanted:
+                out["decomposable"] = is_decomposable(module)
+            if "end_dim" in wanted:
+                out["end_dim"] = len(end_ring(module))
         return out
-    if kind == "search":
-        report = _run_scan(inputs["search"], inputs)
-        out = {"hit_count": len(report.hits), "counterexamples": len(report.counterexamples)}
-        if "pairs" in fx["expected"]:
-            out["pairs"] = sorted([h["a"], h["b"]] for h in report.hits)
-        if "hit_lambdas" in fx["expected"]:
-            out["hit_lambdas"] = [h["lambda"] for h in report.hits]
-        return {key: out[key] for key in fx["expected"]}
-    raise TwistlabError(f"unknown fixture kind {kind!r}")
+    # _check_fixture leaves no other kind than search
+    report = _run_scan(inputs["search"], inputs)
+    out = {"hit_count": len(report.hits), "counterexamples": len(report.counterexamples)}
+    if "pairs" in fx["expected"]:
+        out["pairs"] = sorted([h["a"], h["b"]] for h in report.hits)
+    if "hit_lambdas" in fx["expected"]:
+        out["hit_lambdas"] = [h["lambda"] for h in report.hits]
+    return {key: out[key] for key in fx["expected"]}
+
+
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# what each fixture input must be, by name, whatever the kind
+_INPUT_TYPES: Dict[str, Tuple[str, Callable[[Any], bool]]] = {
+    **dict.fromkeys(("p", "n", "d", "r", "max_b"), ("an integer", _is_int)),
+    **dict.fromkeys(
+        ("lambda", "lam", "mu"),
+        ("a list of integers", lambda v: isinstance(v, list) and all(map(_is_int, v))),
+    ),
+    "conjugate": ("a boolean", lambda v: isinstance(v, bool)),
+    "search": ("a string", lambda v: isinstance(v, str)),
+}
+# fixture kind -> (required inputs, optional inputs); a search fixture also
+# needs the inputs of the scan it names
+_FIXTURE_INPUTS: Dict[str, Tuple[Tuple[str, ...], Tuple[str, ...]]] = {
+    "mull": (("lambda", "p"), ("conjugate",)),
+    "tau": (("n", "p"), ()),
+    "ks": (("p", "lam", "mu"), ()),
+    "murphy": (("d", "r"), ()),
+    "h0": (("lambda", "p"), ()),
+    "specht": (("lambda", "p"), ("mu",)),
+    "search": (("search",), ()),
+}
+# the keys an expected dict may hold, for the kinds that expect a dict
+_EXPECTED_KEYS = {
+    "specht": ("hom_dim", "decomposable", "invariants", "end_dim"),
+    "search": ("hit_count", "counterexamples", "pairs", "hit_lambdas"),
+}
 
 
 def _check_fixture(fx: Any, index: int) -> None:
-    """Reject a fixture whose id, kind, inputs or expected value is missing."""
+    """Reject a fixture whose id, kind, inputs or expected value is missing or mistyped."""
     if not isinstance(fx, dict):
         raise TwistlabError(f"fixture at index {index} is not a JSON object")
     name = fx.get("id")
@@ -294,6 +324,32 @@ def _check_fixture(fx: Any, index: int) -> None:
             raise TwistlabError(f"fixture {label}: {key!r} must be a {kind.__name__}")
     if "expected" not in fx:
         raise TwistlabError(f"fixture {label}: no 'expected' value")
+    kind, inputs = fx["kind"], fx["inputs"]
+    if kind not in _FIXTURE_INPUTS:
+        raise TwistlabError(f"fixture {label}: unknown fixture kind {kind!r}")
+    required, optional = _FIXTURE_INPUTS[kind]
+    if kind == "search":
+        which = inputs.get("search")
+        if not isinstance(which, str) or which not in _SCANS:
+            raise TwistlabError(f"fixture {label}: unknown search {which!r}")
+        required += _SCANS[which][1]
+    for key, value in inputs.items():
+        if key not in required + optional:
+            raise TwistlabError(f"fixture {label}: a {kind} fixture takes no input {key!r}")
+        what, holds = _INPUT_TYPES[key]
+        if not holds(value):
+            raise TwistlabError(f"fixture {label}: input {key!r} must be {what}")
+    for key in required:
+        if key not in inputs:
+            raise TwistlabError(f"fixture {label}: missing input {key!r}")
+    if kind in _EXPECTED_KEYS:
+        allowed = _EXPECTED_KEYS[kind]
+        expected = fx["expected"]
+        if not isinstance(expected, dict) or not expected or not set(expected) <= set(allowed):
+            raise TwistlabError(
+                f"fixture {label}: 'expected' must be a non-empty dict with keys from"
+                f" {', '.join(allowed)}"
+            )
 
 
 def _cmd_verify(args: argparse.Namespace) -> Payload:
@@ -323,8 +379,8 @@ def _cmd_verify(args: argparse.Namespace) -> Payload:
         seen.add(fx["id"])
         try:
             got = _eval_fixture(fx)
-        except KeyError as exc:
-            raise TwistlabError(f"fixture {fx['id']!r}: missing input {exc}")
+        except TwistlabError as exc:
+            raise type(exc)(f"fixture {fx['id']!r}: {exc}") from exc
         if got == fx["expected"]:
             print(f"ok   {fx['id']}", file=sys.stderr)
         else:

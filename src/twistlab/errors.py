@@ -76,7 +76,7 @@ class CongruenceViolated(TwistlabError):
 
 
 class TooLarge(TwistlabError):
-    """The requested module exceeds the configured dimension budget."""
+    """The request exceeds a configured budget: a module's dimension or a map's rim steps."""
 
 
 class SizeMismatch(TwistlabError):

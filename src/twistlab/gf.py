@@ -1,49 +1,39 @@
 """Dense linear algebra over GF(p) for small primes.
 
-Everything is numpy: elimination runs on int64 arrays reduced mod p after
-each pivot, and matrix products ride BLAS by casting to float32/float64 when
-the accumulator provably stays exact (inner * (p-1)^2 below the mantissa),
-chunking the inner dimension otherwise.  Matrices are plain ndarrays; the
-helpers never mutate their arguments.
+One residue contract holds for every function here.  An array handed in
+holds integers in (-p, p), in any integer dtype: residues, signs +-1, or the
+difference of two residues.  An array handed back holds residues in [0, p).
+So no operand is copied and reduced on the way in.  Matrix products ride
+BLAS by casting the operands straight to float32/float64, which is exact
+because every accumulated sum is at most inner * (p-1)^2 in absolute value
+and stays below the mantissa (Overflow otherwise).  Elimination writes into
+an int64 working copy anyway; it reduces that copy once, and again after
+each pivot.  Matrices are plain 2-d ndarrays; the helpers never mutate
+their arguments.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-
-def _as_mod(a: np.ndarray, p: int) -> np.ndarray:
-    arr = np.asarray(a, dtype=np.int64)
-    if arr.ndim != 2:
-        raise ValueError("expected a 2-d array")
-    return np.mod(arr, p)
+from .errors import Overflow
 
 
 def mm(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     """Exact product of two mod-p matrices, reduced mod p, as int64."""
-    a = _as_mod(a, p)
-    b = _as_mod(b, p)
-    inner = a.shape[1]
+    inner = np.shape(a)[1]
     worst = inner * (p - 1) ** 2
-    if worst < 2**24:
-        c = np.dot(a.astype(np.float32), b.astype(np.float32))
-        return np.mod(c, p).astype(np.int64)
-    if worst < 2**53:
-        c = np.dot(a.astype(np.float64), b.astype(np.float64))
-        return np.mod(c, p).astype(np.int64)
-    # enormous inner dimension: accumulate in exact integer chunks
-    step = max(1, (2**53 - 1) // max(1, (p - 1) ** 2))
-    acc = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
-    for lo in range(0, inner, step):
-        hi = min(inner, lo + step)
-        c = np.dot(a[:, lo:hi].astype(np.float64), b[lo:hi].astype(np.float64))
-        acc = np.mod(acc + c.astype(np.int64), p)
-    return acc
+    if worst >= 2**53:
+        raise Overflow(f"an inner dimension of {inner} mod {p} passes the float64 mantissa")
+    dtype = np.float32 if worst < 2**24 else np.float64
+    c = np.dot(np.asarray(a, dtype=dtype), np.asarray(b, dtype=dtype))
+    return np.mod(c, p).astype(np.int64)
 
 
 def rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form and pivot columns."""
-    r = _as_mod(a, p)
+    r = np.array(a, dtype=np.int64)
+    np.mod(r, p, out=r)
     rows, cols = r.shape
     pivots: list[int] = []
     lead = 0
@@ -72,12 +62,10 @@ def rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
 
 def rref_with_transform(a: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray, list[int]]:
     """rref plus the invertible T with T @ a == rref mod p."""
-    arr = _as_mod(a, p)
-    rows = arr.shape[0]
-    aug = np.hstack([arr, np.eye(rows, dtype=np.int64)])
-    red, piv = rref(aug, p)
-    pivots = [c for c in piv if c < arr.shape[1]]
-    return red[:, : arr.shape[1]], red[:, arr.shape[1] :], pivots
+    rows, cols = np.shape(a)
+    red, piv = rref(np.hstack([a, np.eye(rows, dtype=np.int64)]), p)
+    pivots = [c for c in piv if c < cols]
+    return red[:, :cols], red[:, cols:], pivots
 
 
 def rank(a: np.ndarray, p: int) -> int:
@@ -86,8 +74,7 @@ def rank(a: np.ndarray, p: int) -> int:
 
 def nullspace(a: np.ndarray, p: int) -> np.ndarray:
     """Rows spanning {x : a @ x == 0 mod p}."""
-    arr = _as_mod(a, p)
-    red, piv = rref(arr, p)
+    red, piv = rref(a, p)
     return _free_column_kernel(red, piv, p)
 
 
@@ -127,16 +114,16 @@ class Echelon:
 
     def reduce(self, batch: np.ndarray) -> np.ndarray:
         """Return the batch with the current row space projected away."""
-        w = _as_mod(batch, self.p)
-        if self.pivots:
-            coeff = w[:, self.pivots]
-            w = np.mod(w - mm(coeff, self.basis, self.p), self.p)
-        return w
+        if not self.pivots:
+            return np.mod(batch, self.p)
+        coeff = batch[:, self.pivots]
+        return np.mod(batch - mm(coeff, self.basis, self.p), self.p)
 
     def add(self, batch: np.ndarray) -> int:
         """Absorb new rows; returns how many were independent."""
         added = 0
-        w = self.reduce(batch)
+        # with no rows stored there is nothing to project; rref reduces the head
+        w = self.reduce(batch) if self.pivots else np.asarray(batch)
         w = w[np.any(w, axis=1)]
         while w.shape[0]:
             # eliminate a small head exactly, then BLAS-clean the rest

@@ -31,9 +31,14 @@ from .errors import (
     NoInsertion,
     NotPRegular,
     NotPRestricted,
+    TooLarge,
     check_prime,
 )
 from .partitions import Partition
+
+# single rim steps (strips or insertions) one run may make, its jumps not
+# counted; a run whose profiles take longer to repeat is refused, not walked
+_MAX_RUN_STEPS = 5_000
 
 
 @dataclass(frozen=True)
@@ -115,6 +120,8 @@ def _cycle_jump(
     its run has left.  The argument is in `_rebuild_run`.
     """
     for q in range(1, min(len(state) * p, len(history) // 2) + 1):
+        if history[-1] != history[-1 - q]:
+            continue
         cyc = history[-q:]
         if history[-2 * q : -q] != cyc:
             continue
@@ -133,6 +140,16 @@ def _cycle_jump(
             k //= 2
         return tuple(x + k * s for x, s in zip(state, step)), k * q
     return None
+
+
+def _count_step(singles: int, a: int, r: int) -> int:
+    """One more single step in the run of column (a; r), refused past the cap."""
+    if singles >= _MAX_RUN_STEPS:
+        raise TooLarge(
+            f"the run of column ({a};{r}) takes over {_MAX_RUN_STEPS} single rim steps"
+            " before its profiles repeat"
+        )
+    return singles + 1
 
 
 def remove_p_rim(lam: Partition, p: int) -> tuple[Partition, int]:
@@ -155,6 +172,7 @@ def mullineux_symbol(lam: Partition, p: int) -> MullineuxSymbol:
         raise NotPRegular(f"{lam} is not {p}-regular")
     runs: list[tuple[int, int, int]] = []
     history: list[list[int]] = []
+    singles = 0
     parts = lam.parts
     while parts:
         jump = len(history) > 1 and _cycle_jump(parts, history, p)
@@ -170,6 +188,8 @@ def mullineux_symbol(lam: Partition, p: int) -> MullineuxSymbol:
         else:
             runs.append((a, r, 1))
             history = []
+            singles = 0
+        singles = _count_step(singles, a, r)
         history.append(counts)
         del history[: -2 * r * p]
         parts = tuple(row - c for row, c in zip(parts, counts) if row > c)
@@ -244,9 +264,11 @@ def _rebuild_run(nu: tuple[int, ...], a: int, r: int, p: int, run: int) -> tuple
     also strips through cyc.  Insertion takes k <= left // q, so a jump never
     passes the end of the run; stripping takes the largest k that keeps
     every row positive, so the run's last strips are single ones.  The cap
-    r*p is a search limit, not a theorem: a longer cycle is still walked
-    correctly, one step at a time.  When no period passes, one single step
-    is made.
+    r*p is a search limit, not a theorem.  When no period passes, one single
+    step is made, and a run that makes more than _MAX_RUN_STEPS single steps
+    (its transient and any period longer than the cap walked one step at a
+    time) raises TooLarge, in stripping as in insertion, so the time a map
+    takes stays bounded.
 
     Checking the first and the last cycle suffices.  After j cycles the
     state is the start plus or minus j*total; within a cycle each strip
@@ -260,7 +282,7 @@ def _rebuild_run(nu: tuple[int, ...], a: int, r: int, p: int, run: int) -> tuple
     `insert_p_rim` forces every row count), so a state that strips back
     through the cycle is the state that single insertions would have built.
     """
-    done = 0
+    done = singles = 0
     history: list[tuple[int, ...]] = []
     while done < run:
         jump = len(history) > 1 and _cycle_jump(nu, history, p, run - done)
@@ -268,6 +290,7 @@ def _rebuild_run(nu: tuple[int, ...], a: int, r: int, p: int, run: int) -> tuple
             nu, steps = jump
             done += steps
             continue
+        singles = _count_step(singles, a, r)
         prev = nu
         nu = _insert_raw(nu, a, r, p)
         done += 1

@@ -289,7 +289,7 @@ class SpechtModule:
         self.dim = skeleton.dim
         self.perm_dim = skeleton.m
         self._sk = skeleton
-        self.basis = np.mod(skeleton.b_signed, p).astype(np.int8)
+        self.basis = np.mod(skeleton.b_signed, p, dtype=np.int8)
         self._std_inverse: Optional[np.ndarray] = None
         self._gens: Optional[list[np.ndarray]] = None
         self._end: Optional[list[np.ndarray]] = None
@@ -310,9 +310,10 @@ class SpechtModule:
     def _express(self, vectors: np.ndarray) -> tuple[np.ndarray, bool]:
         """Candidate coordinates c of the rows, and whether c @ basis gives them back.
 
-        c is read off the standard-tabloid columns through the inverse of the
-        unitriangular block basis[:, std]; a row outside the row space still
-        gets some c, which the recheck exposes.
+        The rows hold residues mod p, as the basis does.  c is read off the
+        standard-tabloid columns through the inverse of the unitriangular
+        block basis[:, std]; a row outside the row space still gets some c,
+        which the recheck exposes.
         """
         std = self._sk.std
         if self._std_inverse is None:
@@ -321,7 +322,7 @@ class SpechtModule:
                 raise AssertionError(f"standard-tabloid block of {self.lam} is singular")
             self._std_inverse = inverse
         c = mm(vectors[:, std], self._std_inverse, self.p)
-        return c, np.array_equal(mm(c, self.basis, self.p), np.mod(vectors, self.p))
+        return c, np.array_equal(mm(c, self.basis, self.p), vectors)
 
     def coords(self, vectors: np.ndarray) -> np.ndarray:
         """Express rows (in tabloid coordinates) in the polytabloid basis.
@@ -470,7 +471,7 @@ def _spin_hom(p: int, gens_a: list[np.ndarray], gens_b: list[np.ndarray]) -> lis
         k = imgs.shape[1]
         moved = _apply_steps(imgs, rel_node[batch], rel_step[batch], gens_b, p)
         combined = mm(coeff[batch, :target], imgs.reshape(target, k * n_b), p)
-        conditions = np.mod(moved - combined.reshape(len(batch), k, n_b), p)
+        conditions = moved - combined.reshape(len(batch), k, n_b)
         cut = Echelon(p, k)
         if not cut.add(conditions.transpose(0, 2, 1).reshape(-1, k)):
             continue

@@ -6,7 +6,7 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import partitions
@@ -213,6 +213,15 @@ def test_specht_subcommands(capsys):
     assert json.loads(out)["result"] == 1
 
 
+def test_specht_h0_answers_thin_shapes_through_the_conjugate(capsys):
+    # (1^9) has 362,880 tabloids; its conjugate (9) has one
+    code, out, err = run_cli(capsys, "specht", "h0", "--p", "2", "--lambda", ",".join("1" * 9))
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"dims": [1], "result": 1, "method": "enumerated"}
+    code, out, _ = run_cli(capsys, "specht", "h0", "--p", "3", "--lambda", ",".join("1" * 9))
+    assert json.loads(out)["result"] == 0
+
+
 def test_search_exit_codes_and_payload(capsys):
     code, out, _ = run_cli(capsys, "search", "fixed-points", "--p", "5", "--d", "6")
     payload = json.loads(out)
@@ -331,6 +340,124 @@ def test_verify_rejects_malformed_fixtures(tmp_path, capsys, fixtures, named):
     assert out == ""
     assert err.startswith("TwistlabError: ")
     assert named in err
+
+
+@pytest.mark.parametrize(
+    "fixture, complaint",
+    [
+        ({"kind": "mull", "inputs": {"p": "a", "lambda": [2, 1]}, "expected": [2, 1]},
+         "input 'p' must be an integer"),
+        ({"kind": "mull", "inputs": {"p": True, "lambda": [2, 1]}, "expected": [2, 1]},
+         "input 'p' must be an integer"),
+        ({"kind": "mull", "inputs": {"p": 3, "lambda": "ab"}, "expected": [2, 1]},
+         "input 'lambda' must be a list of integers"),
+        ({"kind": "mull", "inputs": {"p": 3, "lambda": [2, 1], "conjugate": 1},
+          "expected": [2, 1]}, "input 'conjugate' must be a boolean"),
+        ({"kind": "murphy", "inputs": {"d": None, "r": 2}, "expected": {}},
+         "input 'd' must be an integer"),
+        ({"kind": "tau", "inputs": {"p": 5, "n": 20, "d": 3}, "expected": [4]},
+         "takes no input 'd'"),
+        ({"kind": "search", "inputs": {"search": "census", "d": "8", "p": 3},
+          "expected": {"hit_count": 1}}, "input 'd' must be an integer"),
+        ({"kind": "search", "inputs": {"search": ["census"], "d": 8, "p": 3},
+          "expected": {"hit_count": 1}}, "unknown search"),
+        ({"kind": "search", "inputs": {"search": "census", "d": 8, "p": 3},
+          "expected": {"hits": 1}}, "'expected' must be a non-empty dict"),
+        ({"kind": "specht", "inputs": {"p": 3, "lambda": [2, 1]}, "expected": 5},
+         "'expected' must be a non-empty dict"),
+        ({"kind": "specht", "inputs": {"p": 3, "lambda": [2, 1]}, "expected": {}},
+         "'expected' must be a non-empty dict"),
+        ({"kind": "frob", "inputs": {}, "expected": 0}, "unknown fixture kind 'frob'"),
+    ],
+)
+def test_verify_checks_input_types_per_kind(tmp_path, capsys, fixture, complaint):
+    path = tmp_path / "fx.json"
+    path.write_text(json.dumps([{"id": "typed", **fixture}]))
+    code, out, err = run_cli(capsys, "verify", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("TwistlabError: fixture 'typed': ")
+    assert complaint in err
+
+
+def test_verify_names_the_fixture_a_domain_error_came_from(tmp_path, capsys):
+    fixtures = [
+        {"id": "thin", "kind": "specht", "inputs": {"p": 2, "lambda": [1] * 9},
+         "expected": {"invariants": 1}},
+        {"id": "bad-prime", "kind": "mull", "inputs": {"p": 4, "lambda": [2]}, "expected": [2]},
+    ]
+    path = tmp_path / "fx.json"
+    path.write_text(json.dumps(fixtures))
+    code, out, err = run_cli(capsys, "verify", str(path))
+    assert (code, out) == (1, "")
+    assert "ok   thin" in err
+    assert err.splitlines()[-1] == "NotPrime: fixture 'bad-prime': 4 is not prime"
+
+
+_FUZZ_JUNK = st.one_of(st.none(), st.booleans(), st.text(max_size=3), st.floats(-3, 3),
+                       st.lists(st.text(max_size=2), max_size=2), st.just({}))
+_FUZZ_PARTS = partitions(max_size=5).map(lambda lam: list(lam.parts))
+_FUZZ_INPUTS = {
+    "p": _FUZZ_P, "n": st.integers(-3, 30), "d": st.integers(-2, 8), "r": st.integers(-2, 12),
+    "max_b": st.integers(-1, 4), "lambda": partitions(max_size=4).map(lambda lam: list(lam.parts)),
+    "lam": _FUZZ_PARTS, "mu": _FUZZ_PARTS, "conjugate": st.booleans(),
+    "search": st.sampled_from(["census", "fixed-points", "p-image", "persistence",
+                               "ks-stability", "multi-twist", "nope"]),
+}
+# the inputs each kind takes ("x" is no kind); each is left out now and then
+_FUZZ_KINDS = {
+    "mull": ("lambda", "p", "conjugate"), "tau": ("n", "p"), "ks": ("p", "lam", "mu"),
+    "murphy": ("d", "r"), "h0": ("lambda", "p"), "specht": ("lambda", "p", "mu"),
+    "search": ("search", "d", "p"), "x": ("p",),
+}
+_FUZZ_EXPECTED = st.one_of(
+    _FUZZ_JUNK,
+    st.integers(0, 3),
+    _FUZZ_PARTS,
+    st.dictionaries(
+        st.sampled_from(["hom_dim", "decomposable", "invariants", "end_dim", "hit_count",
+                         "counterexamples", "pairs", "hit_lambdas", "indecomposable"]),
+        st.one_of(st.integers(0, 3), st.booleans(), st.just([])),
+        max_size=3,
+    ),
+)
+
+
+@st.composite
+def _fuzz_fixture(draw):
+    kind = draw(st.sampled_from(sorted(_FUZZ_KINDS)))
+    now_and_then = st.integers(0, 9).map(lambda x: x == 9)
+    takes = _FUZZ_KINDS[kind]
+    if kind == "search" and draw(st.booleans()):
+        takes = ("search", "lambda", "p", "max_b")
+    keys = [key for key in takes if not draw(now_and_then)]
+    if draw(now_and_then):  # one input the kind does not take
+        keys.append(draw(st.sampled_from(sorted(_FUZZ_INPUTS))))
+    inputs = {key: draw(_FUZZ_INPUTS[key]) for key in keys}
+    if "max_b" in keys and "search" in keys and draw(st.booleans()):
+        inputs["search"] = "multi-twist"
+    if keys and draw(now_and_then):  # one input of the wrong type
+        inputs[draw(st.sampled_from(keys))] = draw(_FUZZ_JUNK)
+    return {"id": draw(st.sampled_from(["a", "b"])), "kind": kind, "inputs": inputs,
+            "expected": draw(_FUZZ_EXPECTED)}
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(fixtures=st.lists(_fuzz_fixture(), max_size=2))
+def test_fuzzed_fixture_files_end_in_an_exit_code(tmp_path, fixtures):
+    path = tmp_path / "fx.json"  # rewritten by every example
+    path.write_text(json.dumps(fixtures))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["verify", str(path)])
+    assert code in (0, 1), (fixtures, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    if code == 1 and out.getvalue() == "":
+        # a refusal names the TwistlabError behind it; a mismatch prints a payload
+        name = err.getvalue().splitlines()[-1].split(":", 1)[0]
+        assert issubclass(getattr(errors, name, type(None)), errors.TwistlabError), (fixtures, name)
+    elif code == 1:
+        assert json.loads(out.getvalue())["failed"], fixtures
 
 
 def test_verify_rejects_a_fixture_naming_an_unknown_scan(tmp_path, capsys):

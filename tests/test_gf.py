@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from twistlab.gf import Echelon, mm, nullspace, rank, rref
+from twistlab.errors import Overflow
+from twistlab.gf import Echelon, mm, nullspace, rank, rref, rref_with_transform
 
 
 def random_matrix(rng, rows, cols, p):
@@ -18,11 +19,51 @@ def test_mm_matches_integer_product(p):
 
 
 def test_mm_huge_inner_dimension_chunks_exactly():
+    # 3,000 * 6^2 is below 2^24: the float32 product is exact without chunks
     p = 7
     rng = np.random.default_rng(1)
     a = random_matrix(rng, 2, 3000, p)
     b = random_matrix(rng, 3000, 2, p)
     assert np.array_equal(mm(a, b, p), (a.astype(object) @ b.astype(object) % p).astype(np.int64))
+
+
+def test_mm_float64_path_is_exact():
+    p, inner = 127, 1100  # 1,100 * 126^2 is past 2^24, so the product runs in float64
+    rng = np.random.default_rng(5)
+    a = rng.integers(-p + 1, p, size=(3, inner))
+    b = rng.integers(-p + 1, p, size=(inner, 4))
+    want = (a.astype(object) @ b.astype(object)) % p
+    assert np.array_equal(mm(a, b, p), want.astype(np.int64))
+
+
+def test_mm_refuses_a_product_past_the_float64_mantissa():
+    p, inner = 1_000_003, 10_000
+    with pytest.raises(Overflow):
+        mm(np.ones((1, inner), dtype=np.int64), np.ones((inner, 1), dtype=np.int64), p)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 127])
+def test_kernels_take_entries_in_the_open_interval_around_zero(p):
+    # signs, residues and differences of residues give what their residues give
+    rng = np.random.default_rng(23 + p)
+    for dtype in (np.int8, np.int64):
+        a = rng.integers(-p + 1, p, size=(6, 9)).astype(dtype)
+        b = rng.integers(-p + 1, p, size=(9, 4)).astype(dtype)
+        a_mod, b_mod = np.mod(a.astype(np.int64), p), np.mod(b.astype(np.int64), p)
+        assert np.array_equal(mm(a, b, p), mm(a_mod, b_mod, p))
+        assert np.array_equal(rref(a, p)[0], rref(a_mod, p)[0])
+        for got, want in zip(rref_with_transform(a, p), rref_with_transform(a_mod, p)):
+            assert np.array_equal(got, want)
+        assert np.array_equal(nullspace(a, p), nullspace(a_mod, p))
+        ech, ech_mod = Echelon(p, 9), Echelon(p, 9)
+        ech.add(a[:3])
+        ech_mod.add(a_mod[:3])
+        assert np.array_equal(ech.reduce(a), ech_mod.reduce(a_mod))
+        ech.add(a)
+        ech_mod.add(a_mod)
+        assert np.array_equal(ech.basis, ech_mod.basis)
+        for out in (mm(a, b, p), rref(a, p)[0], nullspace(a, p), ech.reduce(a), ech.basis):
+            assert out.min(initial=0) >= 0 and out.max(initial=0) < p
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])

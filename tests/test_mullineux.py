@@ -14,6 +14,7 @@ from twistlab.errors import (
     NotPrime,
     NotPRegular,
     NotPRestricted,
+    TooLarge,
 )
 from twistlab.mullineux import (
     MullineuxSymbol,
@@ -29,6 +30,7 @@ from twistlab.mullineux import (
     verify_hat_identity,
 )
 from twistlab.partitions import Partition, enumerate_partitions
+from twistlab.search import multi_twist_scan
 
 REPEATED_TWIST_SHAPE = Partition((29, 29, 24, 4, 4, 3, 3, 3, 2, 1))
 
@@ -486,3 +488,37 @@ def test_columns_match_single_strips_exhaustive():
                     sym = mullineux_symbol(big, p)
                     assert sym.columns == single_strip_columns(big, p), (lam, p, b)
                     assert sym.size == big.size
+
+
+def test_slow_cycles_stop_at_the_step_cap(monkeypatch):
+    # the transformed symbol of p^b * (2,1,1) holds runs whose insertion
+    # profiles repeat only with a period near p^2; walked one step at a time,
+    # the scan at p = 199 ran for over ten minutes
+    per_run = []
+    rebuild_run, insert_raw = mullineux_module._rebuild_run, mullineux_module._insert_raw
+
+    def run_counted(*args):
+        per_run.append(0)
+        return rebuild_run(*args)
+
+    def counting(*args):
+        per_run[-1] += 1
+        return insert_raw(*args)
+
+    monkeypatch.setattr(mullineux_module, "_rebuild_run", run_counted)
+    monkeypatch.setattr(mullineux_module, "_insert_raw", counting)
+    cap = mullineux_module._MAX_RUN_STEPS
+    for p in (37, 101, 199):
+        per_run.clear()
+        try:
+            multi_twist_scan(Partition((2, 1, 1)), p, 4)
+        except TooLarge:
+            pass
+        assert max(per_run) <= cap, p
+        assert sum(per_run) <= 2 * cap, p
+
+
+def test_slow_cycle_image_is_unchanged():
+    # one run of this map makes 2,737 single insertions, under the step cap
+    image = (2897,) * 8 + (2896,) + (2895,) * 26 + (2814,) * 2 + (2813,) * 34
+    assert mullineux_map(Partition((2, 1, 1)).scale(37**3), 37).parts == image

@@ -1,4 +1,5 @@
 import itertools
+import sys
 from dataclasses import fields
 from math import factorial
 
@@ -131,6 +132,32 @@ def test_end_ring_never_builds_the_spin_stack(monkeypatch, lam):
     monkeypatch.setattr(specht, "mm", watched)
     assert len(end_ring(module)) == 2
     assert max(largest) < n**3 / 8
+
+
+def test_every_product_operand_holds_entries_in_the_open_interval(monkeypatch):
+    # the gf contract: operands are residues, signs or differences of
+    # residues, so no caller needs to reduce them before a product
+    checked = []
+
+    def guarded(a, b, p):
+        for operand in (a, b):
+            operand = np.asarray(operand)
+            assert operand.size == 0 or np.abs(operand).max() < p
+        checked.append(p)
+        return mm(a, b, p)
+
+    for name, module in list(sys.modules.items()):
+        if name == "twistlab" or name.startswith("twistlab."):
+            for key, value in list(vars(module).items()):
+                if value is mm:
+                    monkeypatch.setattr(module, key, guarded)
+    assert len(end_ring(build_specht(Partition((4, 3, 1, 1)), 2))) == 2
+    assert len(end_ring(build_specht(Partition((7, 1, 1)), 3))) == 1
+    for p in (2, 3, 5):
+        for d in range(1, 8):
+            for lam in enumerate_partitions(d, "all"):
+                assert h0_dim(lam, p) == int(h0_specht_nonzero(lam, p)), (lam, p)
+    assert set(checked) == {2, 3, 5}
 
 
 def test_hom_requires_matching_symmetric_group():
