@@ -33,15 +33,7 @@ from .mullineux import (
     verify_hat_identity,
 )
 from .partitions import Partition
-from .search import (
-    SearchReport,
-    census,
-    check_twist_persistence,
-    find_p_image,
-    find_twist_commuting,
-    ks_stability_scan,
-    multi_twist_scan,
-)
+from .search import _SCANS, SearchReport
 from .specht import (
     ENUMERATE_BOUND,
     build_specht,
@@ -208,17 +200,6 @@ def _cmd_specht_h0(args: argparse.Namespace) -> Payload:
         "method": "enumerated",
     }
     return payload, 0
-
-
-# scan name -> (function, its leading arguments as fixture input keys, takes jobs)
-_SCANS: Dict[str, Tuple[Callable[..., SearchReport], Tuple[str, ...], bool]] = {
-    "fixed-points": (find_twist_commuting, ("d", "p"), True),
-    "persistence": (check_twist_persistence, ("d", "p"), True),
-    "p-image": (find_p_image, ("d", "p"), True),
-    "multi-twist": (multi_twist_scan, ("lambda", "p", "max_b"), False),
-    "ks-stability": (ks_stability_scan, ("d", "p"), True),
-    "census": (census, ("d", "p"), False),
-}
 
 
 def _run_scan(which: str, inputs: Dict[str, Any], jobs: int = 1) -> SearchReport:

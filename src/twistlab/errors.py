@@ -8,7 +8,6 @@ Everything raised on purpose derives from :class:`TwistlabError`, so callers
 from __future__ import annotations
 
 from functools import lru_cache
-from math import isqrt
 
 
 class TwistlabError(Exception):
@@ -76,7 +75,7 @@ class CongruenceViolated(TwistlabError):
 
 
 class TooLarge(TwistlabError):
-    """The request exceeds a configured budget: a module's dimension or a map's rim steps."""
+    """The request exceeds a budget: a module's dimension, a map's rim steps, p >= 2^64."""
 
 
 class SizeMismatch(TwistlabError):
@@ -87,8 +86,34 @@ class Inconclusive(TwistlabError):
     """The randomized splitting test neither found a splitting nor ruled one out."""
 
 
+# Miller-Rabin with these bases is exact below 3.18e23 (Sorenson and Webster,
+# Math. Comp. 86 (2017), 985-1003), so for every p < 2^64
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
 @lru_cache(maxsize=64)  # every symbol, map and Specht module checks its prime
 def check_prime(p: int) -> None:
-    """Raise NotPrime unless p is prime: the Mullineux map, the criteria and Specht modules need it."""
-    if p < 2 or any(p % q == 0 for q in range(2, isqrt(p) + 1)):
+    """Raise NotPrime unless p is prime: the Mullineux map, criteria and Specht modules need it.
+
+    A deterministic Miller-Rabin test, so its time is bounded by the bit
+    length of p; p >= 2^64 is refused with TooLarge.
+    """
+    if p >= 2**64:
+        raise TooLarge(f"{p} is past the 2^64 bound of the prime check")
+    if p in _WITNESSES:
+        return
+    if p < 2 or any(p % q == 0 for q in _WITNESSES):
         raise NotPrime(f"{p} is not prime")
+    odd, twos = p - 1, 0
+    while odd % 2 == 0:
+        odd, twos = odd // 2, twos + 1
+    for a in _WITNESSES:
+        x = pow(a, odd, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(twos - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
+            raise NotPrime(f"{p} is not prime")

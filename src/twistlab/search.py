@@ -7,11 +7,18 @@ and returns a :class:`SearchReport`.  Certificates are stored inline (the
 recomputed images, quotients, or digit witnesses) so a report can be audited
 without rerunning the scan.
 
+The scans over partitions of d are a visitor plus one driver, ``_scan``.  A
+visitor is a module-level function (so it pickles into worker processes)
+that takes one partition and p and returns its hits, its counterexamples
+and the number of cases it scanned: 1, or the number of mu pairs for the
+two-row Ext^1 scan.  The driver shards the family by first part, visits
+the shards serially or in a process pool when ``jobs > 1``, and merges
+them in enumeration order, so ``jobs`` changes the wall clock but never the
+body.  ``_SCANS`` names every scan once, for the command line and the
+fixture checker.
+
 Reports are deterministic: identical parameters yield byte-identical bodies.
 Wall-clock time lives outside the body, in :attr:`SearchReport.elapsed`.
-
-Scans shard the partition space by first part and merge shard results in
-enumeration order, so ``jobs > 1`` changes the wall clock but never the body.
 """
 
 from __future__ import annotations
@@ -20,7 +27,8 @@ import json
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from functools import partial
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import __version__
 from .abacus import block_census
@@ -42,6 +50,9 @@ __all__ = [
 _SCHEMA = 1
 
 Hit = Dict[str, Any]
+# what a visitor returns for one partition: hits, counterexamples, cases scanned
+Visit = Tuple[List[Hit], List[Hit], int]
+Visitor = Callable[[Partition, int], Visit]
 
 
 @dataclass(frozen=True)
@@ -85,37 +96,57 @@ def _parts(lam: Partition) -> List[int]:
     return list(lam.parts)
 
 
-def _shards_by_first_part(d: int, kind: str, p: Optional[int]) -> List[List[Tuple[int, ...]]]:
-    groups: Dict[int, List[Tuple[int, ...]]] = {}
+def _report(search: str, parameters: Dict[str, Any], hits: Sequence[Hit],
+            counterexamples: Sequence[Hit], scanned: int, start: float) -> SearchReport:
+    """The report of a scan begun at perf_counter() == start."""
+    return SearchReport(
+        search=search,
+        parameters=parameters,
+        hits=tuple(hits),
+        counterexamples=tuple(counterexamples),
+        scanned=scanned,
+        elapsed=time.perf_counter() - start,
+    )
+
+
+def _visit_shard(visit: Visitor, p: int, shard: List[Partition]) -> List[Visit]:
+    return [visit(lam, p) for lam in shard]
+
+
+def _scan(search: str, visit: Visitor, d: int, p: int, kind: str, jobs: int) -> SearchReport:
+    """Visit every partition of d in the family ``kind``, over ``jobs`` processes."""
+    start = time.perf_counter()
+    groups: Dict[int, List[Partition]] = {}
     for lam in enumerate_partitions(d, kind, p):
-        groups.setdefault(lam.part(0), []).append(lam.parts)
+        groups.setdefault(lam.part(0), []).append(lam)
     # decreasing first part = enumeration order of the groups themselves
-    return [groups[k] for k in sorted(groups, reverse=True)]
+    shards = [groups[k] for k in sorted(groups, reverse=True)]
+    work = partial(_visit_shard, visit, p)
+    if jobs <= 1 or len(shards) <= 1:
+        results = [work(shard) for shard in shards]
+    else:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(shards))) as pool:
+            results = list(pool.map(work, shards))
+    visits = [v for block in results for v in block]
+    hits = [h for v in visits for h in v[0]]
+    bad = [c for v in visits for c in v[1]]
+    return _report(search, {"d": d, "p": p}, hits, bad, sum(v[2] for v in visits), start)
 
 
-def _run_sharded(worker, payloads: Sequence, jobs: int) -> List:
-    if jobs <= 1 or len(payloads) <= 1:
-        return [worker(x) for x in payloads]
-    with ProcessPoolExecutor(max_workers=min(jobs, len(payloads))) as pool:
-        return list(pool.map(worker, payloads))
+def _commutes(lam: Partition, p: int) -> Optional[Tuple[Partition, Partition]]:
+    """m(lam) and m(p*lam) when m(p*lam) = p*m(lam), else None."""
+    image = mullineux_map(lam, p)
+    twisted = mullineux_map(lam.scale(p), p)
+    return (image, twisted) if twisted == image.scale(p) else None
 
 
-def _twist_commuting_shard(payload: Tuple[int, List[Tuple[int, ...]]]) -> List[Hit]:
-    p, shard = payload
-    hits: List[Hit] = []
-    for parts in shard:
-        lam = Partition(parts)
-        image = mullineux_map(lam, p)
-        twisted = mullineux_map(lam.scale(p), p)
-        if twisted == image.scale(p):
-            hits.append(
-                {
-                    "lambda": list(parts),
-                    "m_lambda": _parts(image),
-                    "m_p_lambda": _parts(twisted),
-                }
-            )
-    return hits
+def _visit_fixed_point(lam: Partition, p: int) -> Visit:
+    found = _commutes(lam, p)
+    if found is None:
+        return [], [], 1
+    image, twisted = found
+    hit = {"lambda": _parts(lam), "m_lambda": _parts(image), "m_p_lambda": _parts(twisted)}
+    return [hit], [], 1
 
 
 def find_twist_commuting(d: int, p: int, jobs: int = 1) -> SearchReport:
@@ -124,38 +155,17 @@ def find_twist_commuting(d: int, p: int, jobs: int = 1) -> SearchReport:
     A hit is a partition lam with m(p*lam) = p*m(lam); both images are stored
     so the identity can be rechecked from the report alone.
     """
-    start = time.perf_counter()
-    shards = _shards_by_first_part(d, "p_regular", p)
-    scanned = sum(len(s) for s in shards)
-    results = _run_sharded(_twist_commuting_shard, [(p, s) for s in shards], jobs)
-    hits = tuple(h for block in results for h in block)
-    return SearchReport(
-        search="fixed-points",
-        parameters={"d": d, "p": p},
-        hits=hits,
-        counterexamples=(),
-        scanned=scanned,
-        elapsed=time.perf_counter() - start,
-    )
+    return _scan("fixed-points", _visit_fixed_point, d, p, "p_regular", jobs)
 
 
-def _persistence_shard(payload: Tuple[int, List[Tuple[int, ...]]]) -> Tuple[List[Hit], List[Hit]]:
-    p, shard = payload
-    kept: List[Hit] = []
-    failed: List[Hit] = []
-    for parts in shard:
-        lam = Partition(parts)
-        once = mullineux_map(lam.scale(p), p)
-        if once != mullineux_map(lam, p).scale(p):
-            continue
-        twice = mullineux_map(lam.scale(p * p), p)
-        record = {
-            "lambda": list(parts),
-            "m_p_lambda": _parts(once),
-            "m_p2_lambda": _parts(twice),
-        }
-        (kept if twice == once.scale(p) else failed).append(record)
-    return kept, failed
+def _visit_persistence(lam: Partition, p: int) -> Visit:
+    found = _commutes(lam, p)
+    if found is None:
+        return [], [], 1
+    once = found[1]
+    twice = mullineux_map(lam.scale(p * p), p)
+    record = {"lambda": _parts(lam), "m_p_lambda": _parts(once), "m_p2_lambda": _parts(twice)}
+    return ([record], [], 1) if twice == once.scale(p) else ([], [record], 1)
 
 
 def check_twist_persistence(d: int, p: int, jobs: int = 1) -> SearchReport:
@@ -165,38 +175,15 @@ def check_twist_persistence(d: int, p: int, jobs: int = 1) -> SearchReport:
     the hits also satisfy m(p^2*lam) = p*m(p*lam) and the counterexamples do
     not.  The counterexample list is expected to be empty.
     """
-    start = time.perf_counter()
-    shards = _shards_by_first_part(d, "p_regular", p)
-    scanned = sum(len(s) for s in shards)
-    results = _run_sharded(_persistence_shard, [(p, s) for s in shards], jobs)
-    hits = tuple(h for kept, _ in results for h in kept)
-    bad = tuple(h for _, failed in results for h in failed)
-    return SearchReport(
-        search="persistence",
-        parameters={"d": d, "p": p},
-        hits=hits,
-        counterexamples=bad,
-        scanned=scanned,
-        elapsed=time.perf_counter() - start,
-    )
+    return _scan("persistence", _visit_persistence, d, p, "p_regular", jobs)
 
 
-def _p_image_shard(payload: Tuple[int, List[Tuple[int, ...]]]) -> List[Hit]:
-    p, shard = payload
-    hits: List[Hit] = []
-    for parts in shard:
-        lam = Partition(parts)
-        twisted = mullineux_map(lam.scale(p), p)
-        tau = twisted.divide(p)
-        if tau is not None:
-            hits.append(
-                {
-                    "lambda": list(parts),
-                    "m_p_lambda": _parts(twisted),
-                    "tau": _parts(tau),
-                }
-            )
-    return hits
+def _visit_p_image(lam: Partition, p: int) -> Visit:
+    twisted = mullineux_map(lam.scale(p), p)
+    tau = twisted.divide(p)
+    if tau is None:
+        return [], [], 1
+    return [{"lambda": _parts(lam), "m_p_lambda": _parts(twisted), "tau": _parts(tau)}], [], 1
 
 
 def find_p_image(d: int, p: int, jobs: int = 1) -> SearchReport:
@@ -205,19 +192,7 @@ def find_p_image(d: int, p: int, jobs: int = 1) -> SearchReport:
     Each hit stores the quotient tau = m(p*lam)/p as its certificate.  This
     is strictly weaker than twist commuting, so those hits always reappear.
     """
-    start = time.perf_counter()
-    shards = _shards_by_first_part(d, "p_regular", p)
-    scanned = sum(len(s) for s in shards)
-    results = _run_sharded(_p_image_shard, [(p, s) for s in shards], jobs)
-    hits = tuple(h for block in results for h in block)
-    return SearchReport(
-        search="p-image",
-        parameters={"d": d, "p": p},
-        hits=hits,
-        counterexamples=(),
-        scanned=scanned,
-        elapsed=time.perf_counter() - start,
-    )
+    return _scan("p-image", _visit_p_image, d, p, "p_regular", jobs)
 
 
 def multi_twist_scan(lam: Partition, p: int, max_b: int) -> SearchReport:
@@ -248,38 +223,24 @@ def multi_twist_scan(lam: Partition, p: int, max_b: int) -> SearchReport:
             if tau is None:
                 continue
             hits.append({"a": a, "b": b, "difference": _parts(diff), "tau": _parts(tau)})
-    return SearchReport(
-        search="multi-twist",
-        parameters={"lambda": _parts(lam), "p": p, "max_b": max_b},
-        hits=tuple(hits),
-        counterexamples=(),
-        scanned=scanned,
-        elapsed=time.perf_counter() - start,
-    )
+    parameters = {"lambda": _parts(lam), "p": p, "max_b": max_b}
+    return _report("multi-twist", parameters, hits, (), scanned, start)
 
 
-def _ks_shard(payload: Tuple[int, int, List[Tuple[int, ...]]]) -> Tuple[int, List[Hit], List[Hit]]:
-    p, d, shard = payload
-    pairs = 0
+def _visit_ks(lam: Partition, p: int) -> Visit:
     changed: List[Hit] = []
     unstable: List[Hit] = []
-    targets = list(enumerate_partitions(d, "two_part"))
-    for parts in shard:
-        lam = Partition(parts)
-        for mu in targets:
-            pairs += 1
-            plain = ks_ext1(p, lam, mu)
-            once = ks_ext1(p, lam.scale(p), mu.scale(p))
-            twice = ks_ext1(p, lam.scale(p * p), mu.scale(p * p))
-            if plain != once:
-                changed.append(
-                    {"lambda": list(parts), "mu": _parts(mu), "untwisted": plain, "once": once}
-                )
-            if once != twice:
-                unstable.append(
-                    {"lambda": list(parts), "mu": _parts(mu), "once": once, "twice": twice}
-                )
-    return pairs, changed, unstable
+    targets = list(enumerate_partitions(lam.size, "two_part"))
+    for mu in targets:
+        plain = ks_ext1(p, lam, mu)
+        once = ks_ext1(p, lam.scale(p), mu.scale(p))
+        twice = ks_ext1(p, lam.scale(p * p), mu.scale(p * p))
+        pair = {"lambda": _parts(lam), "mu": _parts(mu)}
+        if plain != once:
+            changed.append({**pair, "untwisted": plain, "once": once})
+        if once != twice:
+            unstable.append({**pair, "once": once, "twice": twice})
+    return changed, unstable, len(targets)
 
 
 def ks_stability_scan(d: int, p: int, jobs: int = 1) -> SearchReport:
@@ -287,22 +248,9 @@ def ks_stability_scan(d: int, p: int, jobs: int = 1) -> SearchReport:
 
     Counterexamples collect pairs where the p-scaled and p^2-scaled dimensions
     differ (expected none); hits collect the milder phenomenon where the first
-    scaling already changes the unscaled answer.
+    scaling already changes the unscaled answer.  ``scanned`` counts pairs.
     """
-    start = time.perf_counter()
-    shards = _shards_by_first_part(d, "two_part", None)
-    results = _run_sharded(_ks_shard, [(p, d, s) for s in shards], jobs)
-    scanned = sum(r[0] for r in results)
-    hits = tuple(h for r in results for h in r[1])
-    bad = tuple(h for r in results for h in r[2])
-    return SearchReport(
-        search="ks-stability",
-        parameters={"d": d, "p": p},
-        hits=hits,
-        counterexamples=bad,
-        scanned=scanned,
-        elapsed=time.perf_counter() - start,
-    )
+    return _scan("ks-stability", _visit_ks, d, p, "two_part", jobs)
 
 
 def census(d: int, p: int) -> SearchReport:
@@ -324,11 +272,16 @@ def census(d: int, p: int) -> SearchReport:
         for b in blocks
     )
     scanned = sum(len(b.members) for b in blocks)
-    return SearchReport(
-        search="census",
-        parameters={"d": d, "p": p},
-        hits=hits,
-        counterexamples=(),
-        scanned=scanned,
-        elapsed=time.perf_counter() - start,
-    )
+    return _report("census", {"d": d, "p": p}, hits, (), scanned, start)
+
+
+# scan name -> (function, its leading arguments as input keys, takes jobs);
+# the command line and the fixture checker read their scans from here
+_SCANS: Dict[str, Tuple[Callable[..., SearchReport], Tuple[str, ...], bool]] = {
+    "fixed-points": (find_twist_commuting, ("d", "p"), True),
+    "persistence": (check_twist_persistence, ("d", "p"), True),
+    "p-image": (find_p_image, ("d", "p"), True),
+    "multi-twist": (multi_twist_scan, ("lambda", "p", "max_b"), False),
+    "ks-stability": (ks_stability_scan, ("d", "p"), True),
+    "census": (census, ("d", "p"), False),
+}

@@ -38,8 +38,9 @@ batch of relations; that costs O(n_a k n_b^2) time and O(n_a k n_b) memory
 for k candidates, never the n_a n_b^2 table of every word on B.  A direct
 Kronecker-product solver is kept alongside as the oracle for the fast path.
 
-All partitions here are assumed to fit the configured permutation-module
-budget; TWISTLAB_MAX_DIM raises it when a run genuinely needs a module with
+build_specht refuses a permutation module of more than DEFAULT_MAX_DIM
+tabloids with TooLarge.  The TWISTLAB_MAX_DIM environment variable is the one
+override of that budget, for a run that genuinely needs a module with
 millions of tabloids.
 """
 
@@ -273,13 +274,6 @@ def _skeleton(parts: tuple[int, ...]) -> _Skeleton:
     )
 
 
-def _max_dim(override: Optional[int]) -> int:
-    if override is not None:
-        return override
-    env = os.environ.get("TWISTLAB_MAX_DIM")
-    return int(env) if env else DEFAULT_MAX_DIM
-
-
 class SpechtModule:
     """S^lambda over GF(p): embedding matrix plus generator actions."""
 
@@ -357,17 +351,17 @@ class SpechtModule:
         return int(inside)
 
 
-def build_specht(lam: Partition, p: int, max_dim: Optional[int] = None) -> SpechtModule:
+def build_specht(lam: Partition, p: int) -> SpechtModule:
     """Construct S^lambda over GF(p), refusing oversized permutation modules."""
     check_prime(p)
     if p > _MAX_PRIME:
         raise Overflow(f"residues mod {p} do not fit the int8 basis (p <= {_MAX_PRIME})")
-    limit = _max_dim(max_dim)
+    env = os.environ.get("TWISTLAB_MAX_DIM")
+    limit = int(env) if env else DEFAULT_MAX_DIM
     m = perm_module_dim(lam)
     if m > limit:
         raise TooLarge(
-            f"M^{lam} has {m} tabloids, over the limit of {limit}"
-            " (raise max_dim or TWISTLAB_MAX_DIM)"
+            f"M^{lam} has {m} tabloids, over the limit of {limit} (raise TWISTLAB_MAX_DIM)"
         )
     return SpechtModule(lam, p, _skeleton(lam.parts))
 
@@ -603,7 +597,7 @@ def invariants_dim(a: SpechtModule) -> int:
     return a.invariants_dim()
 
 
-def h0_dim(lam: Partition, p: int, max_dim: Optional[int] = None) -> int:
+def h0_dim(lam: Partition, p: int) -> int:
     """Dimension of the fixed space of S^lambda over GF(p), 0 or 1.
 
     The route goes to whichever of lambda and its conjugate has fewer
@@ -621,8 +615,8 @@ def h0_dim(lam: Partition, p: int, max_dim: Optional[int] = None) -> int:
     dim x m coordinate recheck) plus two dim x dim by dim x 1 products.
     """
     if perm_module_dim(lam) <= perm_module_dim(lam.conjugate()):
-        return invariants_dim(build_specht(lam, p, max_dim))
-    module = build_specht(lam.conjugate(), p, max_dim)
+        return invariants_dim(build_specht(lam, p))
+    module = build_specht(lam.conjugate(), p)
     forced = module._sk.tableau_signs[:, None]
     pairs = zip(module.generators(), module.generator_signs())
     return int(all(np.array_equal(mm(g, forced, p), np.mod(s * forced, p)) for g, s in pairs))

@@ -466,11 +466,6 @@ def test_h0_dim_reaches_thin_shapes_through_the_conjugate():
     assert h0_dim(Partition((1,) * 10), 3) == 0
 
 
-def test_dimension_cap():
-    with pytest.raises(TooLarge):
-        build_specht(Partition((4, 3, 2, 1)), 2, max_dim=10)
-
-
 def test_prime_must_be_prime_and_fit_int8():
     assert build_specht(Partition((2, 1)), 127).dim == 2
     with pytest.raises(NotPrime):
