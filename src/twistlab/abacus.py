@@ -14,8 +14,13 @@ from dataclasses import dataclass
 from math import ceil
 from typing import Optional
 
-from .errors import HypothesisViolated, TooFewBeads
+from .errors import HypothesisViolated, TooFewBeads, TooLarge
 from .partitions import Partition, enumerate_partitions
+
+# to_abacus refuses more beads than this; each bead costs a Python object
+_MAX_BEADS = 100_000
+# picture() draws at most this many levels and this many runners
+_PICTURE_SIDE = 200
 
 
 def _check_runners(p: int) -> None:
@@ -46,14 +51,26 @@ class AbacusDisplay:
         return tuple(sorted(b // self.p for b in self.beta if b % self.p == r))
 
     def picture(self) -> list[str]:
-        """One text row per runner: 'o' for a bead, '.' for a gap."""
+        """One text row per runner: 'o' for a bead, '.' for a gap.
+
+        At most _PICTURE_SIDE levels of at most _PICTURE_SIDE runners are
+        drawn, so the picture stays small however long the runners are; a
+        last line then says how much was left out.
+        """
         levels = max((b // self.p for b in self.beta), default=-1) + 1
         occupied = set(self.beta)
-        rows = []
-        for r in range(self.p):
-            rows.append(
-                "".join("o" if lvl * self.p + r in occupied else "." for lvl in range(levels))
-            )
+        width = min(levels, _PICTURE_SIDE)
+        rows = [
+            "".join("o" if lvl * self.p + r in occupied else "." for lvl in range(width))
+            for r in range(min(self.p, _PICTURE_SIDE))
+        ]
+        hidden = [
+            f"{count - _PICTURE_SIDE} more {what}"
+            for count, what in ((levels, "levels"), (self.p, "runners"))
+            if count > _PICTURE_SIDE
+        ]
+        if hidden:
+            rows.append(f"({' and '.join(hidden)} not drawn)")
         return rows
 
 
@@ -80,6 +97,8 @@ def to_abacus(lam: Partition, p: int, beads: Optional[int] = None) -> AbacusDisp
     b = default_beads(lam, p) if beads is None else beads
     if b < len(lam):
         raise TooFewBeads(f"{b} beads cannot hold {len(lam)} rows")
+    if b > _MAX_BEADS:
+        raise TooLarge(f"{b} beads, over the limit of {_MAX_BEADS}")
     beta = tuple(lam.part(i) + b - 1 - i for i in range(b))
     return AbacusDisplay(p, beta)
 
@@ -100,11 +119,15 @@ def p_core(lam: Partition, p: int, beads: Optional[int] = None) -> BlockData:
     display = to_abacus(lam, p, beads)
     slid: list[int] = []
     weight = 0
-    for r in range(p):
-        levels = display.runner(r)
-        for target, level in enumerate(levels):
-            weight += level - target
-            slid.append(target * p + r)
+    # the k-th lowest bead of a runner slides to level k; only runners that
+    # hold a bead are visited, so the cost does not grow with p
+    below: dict[int, int] = {}
+    for bead in reversed(display.beta):
+        r = bead % p
+        target = below.get(r, 0)
+        below[r] = target + 1
+        weight += bead // p - target
+        slid.append(target * p + r)
     slid.sort(reverse=True)
     core = from_abacus(AbacusDisplay(p, tuple(slid)))
     return BlockData(core, weight)

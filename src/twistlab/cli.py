@@ -68,7 +68,11 @@ def _partition(text: str) -> Partition:
         raise argparse.ArgumentTypeError("every part must be a positive integer")
     if any(x < y for x, y in zip(parts, parts[1:])):
         raise argparse.ArgumentTypeError("parts must be listed largest first")
-    return Partition(parts)
+    try:
+        return Partition(parts)
+    except TwistlabError as exc:
+        # a part past the 64-bit limit is a usage mistake like any other bad part
+        raise argparse.ArgumentTypeError(f"{type(exc).__name__}: {exc}")
 
 
 def _parts(lam: Partition) -> list:

@@ -6,10 +6,12 @@ difference of two residues.  An array handed back holds residues in [0, p).
 So no operand is copied and reduced on the way in.  Matrix products ride
 BLAS by casting the operands straight to float32/float64, which is exact
 because every accumulated sum is at most inner * (p-1)^2 in absolute value
-and stays below the mantissa (Overflow otherwise).  Elimination writes into
-an int64 working copy anyway; it reduces that copy once, and again after
-each pivot.  Matrices are plain 2-d ndarrays; the helpers never mutate
-their arguments.
+and stays below the mantissa (Overflow otherwise).  The exact float product
+is cast to int64 and reduced there by integer remainder, in place: numpy's
+float remainder costs several times the GEMM itself on tall products.
+Elimination writes into an int64 working copy anyway; it reduces that copy
+once, and again after each pivot.  Matrices are plain 2-d ndarrays; the
+helpers never mutate their arguments.
 """
 
 from __future__ import annotations
@@ -20,14 +22,21 @@ from .errors import Overflow
 
 
 def mm(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """Exact product of two mod-p matrices, reduced mod p, as int64."""
+    """Exact product of two mod-p matrices, reduced mod p, as int64.
+
+    Every entry of the float product is an integer below the mantissa, so the
+    cast to int64 is exact; integer % then maps negative sums into [0, p)
+    at a fraction of the cost of np.mod on floats.
+    """
     inner = np.shape(a)[1]
     worst = inner * (p - 1) ** 2
     if worst >= 2**53:
         raise Overflow(f"an inner dimension of {inner} mod {p} passes the float64 mantissa")
     dtype = np.float32 if worst < 2**24 else np.float64
     c = np.dot(np.asarray(a, dtype=dtype), np.asarray(b, dtype=dtype))
-    return np.mod(c, p).astype(np.int64)
+    r = c.astype(np.int64)
+    r %= p
+    return r
 
 
 def rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:

@@ -3,6 +3,8 @@ from hypothesis import given, settings
 
 from conftest import partitions
 from twistlab.abacus import (
+    _MAX_BEADS,
+    _PICTURE_SIDE,
     block_census,
     default_beads,
     from_abacus,
@@ -11,7 +13,7 @@ from twistlab.abacus import (
     p_core_by_stripping,
     to_abacus,
 )
-from twistlab.errors import TooFewBeads
+from twistlab.errors import TooFewBeads, TooLarge
 from twistlab.partitions import Partition, enumerate_partitions
 
 PRIMES = (2, 3, 5, 7)
@@ -40,6 +42,31 @@ def test_round_trip_with_extra_beads():
 def test_too_few_beads():
     with pytest.raises(TooFewBeads):
         to_abacus(Partition((3, 2, 1)), 3, beads=2)
+
+
+def test_too_many_beads():
+    assert to_abacus(Partition((3, 2, 1)), 3, beads=_MAX_BEADS).beads == _MAX_BEADS
+    with pytest.raises(TooLarge):
+        to_abacus(Partition((3, 2, 1)), 3, beads=_MAX_BEADS + 1)
+    with pytest.raises(TooLarge):
+        p_core(Partition((1,)), _MAX_BEADS + 1)  # the default bead count is p
+
+
+def test_picture_is_cut_at_a_fixed_size():
+    rows = to_abacus(Partition((10**8,)), 2).picture()
+    assert rows[0] == "o" + "." * (_PICTURE_SIDE - 1)
+    assert rows[1] == "." * _PICTURE_SIDE
+    assert rows[2:] == [f"({5 * 10**7 + 1 - _PICTURE_SIDE} more levels not drawn)"]
+    p = 10**9 + 7
+    rows = to_abacus(Partition((3, 1)), p, beads=2).picture()  # beads at 4 and 1
+    assert len(rows) == _PICTURE_SIDE + 1
+    assert [r for r, row in enumerate(rows[:-1]) if row == "o"] == [1, 4]
+    assert rows[-1] == f"({p - _PICTURE_SIDE} more runners not drawn)"
+
+
+def test_core_with_a_huge_prime_and_few_beads():
+    lam = Partition((3, 1))
+    assert p_core(lam, 10**9 + 7, beads=2) == p_core_by_stripping(lam, 10**9 + 7)
 
 
 def test_core_weight_small_values():

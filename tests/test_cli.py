@@ -4,6 +4,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -154,6 +155,45 @@ def test_malformed_partition_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as info:
         main(["mull", "--p", "5", "--lambda", "4,x"])
     assert info.value.code == 64
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "abacus --p 2 --lambda 99999999999999999999",
+        "mull --p 3 --lambda 99999999999999999999,5",
+        "ks-ext --p 3 --lam 9223372036854775808 --mu 2",
+        "specht hom --p 2 --lam 2 --mu 99999999999999999999",
+    ],
+)
+def test_parts_past_64_bits_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        main(argv.split())
+    err = capsys.readouterr().err
+    assert info.value.code == 64
+    assert "Overflow: part " in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, code, error",
+    [
+        ("abacus --p 2 --lambda 100000000", 0, None),
+        ("abacus --p 2 --lambda 9223372036854775807", 0, None),
+        ("abacus --p 1000000007 --lambda 3,1 --beads 2", 0, None),
+        ("abacus --p 2 --lambda 1 --beads 10000000", 1, "TooLarge"),
+        ("abacus --p 1000000007 --lambda 3,1", 1, "TooLarge"),
+    ],
+)
+def test_huge_abacus_calls_end_quickly(capsys, argv, code, error):
+    start = time.perf_counter()
+    got, out, err = run_cli(capsys, *argv.split())
+    assert time.perf_counter() - start < 1.0
+    assert got == code and "Traceback" not in err
+    if error:
+        assert (out, err.split(":")[0]) == ("", error)
+    else:
+        assert err.splitlines()[-1].endswith("not drawn)")
+        assert len(err) < 50_000
 
 
 def test_unknown_subcommand_is_a_usage_error(capsys):

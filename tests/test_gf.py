@@ -36,6 +36,39 @@ def test_mm_float64_path_is_exact():
     assert np.array_equal(mm(a, b, p), want.astype(np.int64))
 
 
+def _edge_operands(p, inner, seed):
+    # rows and columns all +(p-1), all -(p-1) and mixed signs, so the sums
+    # reach +-inner*(p-1)^2 as well as values in between
+    rng = np.random.default_rng(seed)
+    top = p - 1
+    signs = [-top, top]
+    a = np.vstack([np.full(inner, top), np.full(inner, -top), rng.choice(signs, size=(4, inner))])
+    b = np.hstack([np.full((inner, 1), top), np.full((inner, 1), -top),
+                   rng.choice(signs, size=(inner, 3))])
+    return a.astype(np.int64), b.astype(np.int64)
+
+
+@pytest.mark.parametrize(
+    "p, inner",
+    [
+        (31, (2**24 - 1) // 30**2),  # float32, sums up to 2^24 - 1
+        (127, (2**24 - 1) // 126**2),  # float32, sums up to 2^24 - 1
+        (127, 3 * (2**24 // 126**2 + 1)),  # float64, sums past 3 * 2^24
+    ],
+)
+def test_mm_reduces_sums_at_the_float_edges_exactly(p, inner):
+    a, b = _edge_operands(p, inner, seed=p + inner)
+    a_before, b_before = a.copy(), b.copy()
+    got = mm(a, b, p)
+    exact = a.astype(object) @ b.astype(object)
+    assert abs(exact[0, 0]) == abs(exact[0, 1]) == inner * (p - 1) ** 2
+    assert (abs(exact[0, 0]) >= 2**24) == (inner * (p - 1) ** 2 >= 2**24)
+    assert got.dtype == np.int64
+    assert got.min() >= 0 and got.max() < p
+    assert np.array_equal(got, (exact % p).astype(np.int64))
+    assert np.array_equal(a, a_before) and np.array_equal(b, b_before)
+
+
 def test_mm_refuses_a_product_past_the_float64_mantissa():
     p, inner = 1_000_003, 10_000
     with pytest.raises(Overflow):

@@ -466,6 +466,25 @@ def test_h0_dim_reaches_thin_shapes_through_the_conjugate():
     assert h0_dim(Partition((1,) * 10), 3) == 0
 
 
+@pytest.mark.parametrize("parts", [(1, 1, 1, 1), (3, 1, 1, 1, 1)])
+@pytest.mark.parametrize("broken", [0, 1])
+def test_conjugate_h0_route_checks_both_generators(monkeypatch, parts, broken):
+    # the forced functional must pass (1 2) and the d-cycle; with either
+    # generator matrix zeroed it passes neither, so H^0 falls to 0
+    lam, p = Partition(parts), 2
+    assert specht.perm_module_dim(lam) > specht.perm_module_dim(lam.conjugate())
+    assert h0_dim(lam, p) == 1
+    generators = specht.SpechtModule.generators
+
+    def zero_one(module):
+        gens = [g.copy() for g in generators(module)]
+        gens[broken][:] = 0
+        return gens
+
+    monkeypatch.setattr(specht.SpechtModule, "generators", zero_one)
+    assert h0_dim(lam, p) == 0
+
+
 def test_prime_must_be_prime_and_fit_int8():
     assert build_specht(Partition((2, 1)), 127).dim == 2
     with pytest.raises(NotPrime):
