@@ -86,10 +86,13 @@ def default_beads(lam: Partition, p: int) -> int:
     """Bead count used when the caller does not pick one.
 
     The length of the partition rounded up to a positive multiple of p, so
-    runner pictures come out canonical (every runner the same length).
+    runner pictures come out canonical (every runner the same length).  When
+    that multiple would pass _MAX_BEADS, the length itself (at least 1).
     """
     _check_runners(p)
-    return p * ceil(max(len(lam), 1) / p)
+    rows = max(len(lam), 1)
+    rounded = p * ceil(rows / p)
+    return rounded if rounded <= _MAX_BEADS else rows
 
 
 def to_abacus(lam: Partition, p: int, beads: Optional[int] = None) -> AbacusDisplay:

@@ -33,7 +33,7 @@ from .mullineux import (
     verify_hat_identity,
 )
 from .partitions import Partition
-from .search import _SCANS, SearchReport
+from .search import _SCANS, SearchReport, _parts
 from .specht import (
     ENUMERATE_BOUND,
     build_specht,
@@ -75,10 +75,6 @@ def _partition(text: str) -> Partition:
         raise argparse.ArgumentTypeError(f"{type(exc).__name__}: {exc}")
 
 
-def _parts(lam: Partition) -> list:
-    return list(lam.parts)
-
-
 def _symbol_rows(sym: MullineuxSymbol) -> Dict[str, list]:
     """The symbol's two rows, one entry per column."""
     return {"a": list(sym.top), "r": list(sym.bottom)}
@@ -105,24 +101,22 @@ def _cmd_tau(args: argparse.Namespace) -> Payload:
 
 def _cmd_hat(args: argparse.Namespace) -> Payload:
     hatted = args.lam.hat(args.p)
-    payload = {
+    return {
         "p": args.p,
         "lambda": _parts(args.lam),
         "hat": _parts(hatted),
         "mullineux_of_hat": _parts(mullineux_map(hatted, args.p)),
         "expected": _parts(args.lam.scale(args.p - 1)),
         "holds": verify_hat_identity(args.lam, args.p),
-    }
-    return payload, 0
+    }, 0
 
 
 def _cmd_symbol(args: argparse.Namespace) -> Payload:
-    payload = {
+    return {
         "p": args.p,
         "lambda": _parts(args.lam),
         **_symbol_rows(mullineux_symbol(args.lam, args.p)),
-    }
-    return payload, 0
+    }, 0
 
 
 def _cmd_abacus(args: argparse.Namespace) -> Payload:
@@ -130,91 +124,83 @@ def _cmd_abacus(args: argparse.Namespace) -> Payload:
     block = p_core(args.lam, args.p, args.beads)
     for row in display.picture():
         print(row, file=sys.stderr)
-    payload = {
+    return {
         "p": args.p,
         "lambda": _parts(args.lam),
         "beta": list(display.beta),
         "core": _parts(block.core),
         "weight": block.weight,
         "p_by_p": is_p_by_p(args.lam, args.p),
-    }
-    return payload, 0
+    }, 0
 
 
 def _cmd_ks_ext(args: argparse.Namespace) -> Payload:
     witness = ks_ext1_witness(args.p, args.lam, args.mu)
-    payload = {
+    return {
         "inputs": {"p": args.p, "lam": _parts(args.lam), "mu": _parts(args.mu)},
         "result": 0 if witness is None else 1,
         "certificate": witness,
-    }
-    return payload, 0
+    }, 0
 
 
 def _cmd_murphy(args: argparse.Namespace) -> Payload:
-    payload = {
+    return {
         "inputs": {"d": args.d, "r": args.r},
         "result": {
             "end_dim": murphy_end_dim(args.d, args.r),
             "indecomposable": murphy_indecomposable(args.d, args.r),
         },
         "certificate": {"summands": murphy_summand_count(args.d, args.r)},
-    }
-    return payload, 0
+    }, 0
 
 
 def _cmd_h0(args: argparse.Namespace) -> Payload:
     row = h0_failed_row(args.lam, args.p)
-    payload = {
+    return {
         "inputs": {"p": args.p, "lambda": _parts(args.lam)},
         "result": row is None,
         "certificate": row,
-    }
-    return payload, 0
+    }, 0
 
 
 def _cmd_specht_hom(args: argparse.Namespace) -> Payload:
     a = build_specht(args.lam, args.p)
     b = build_specht(args.mu, args.p)
-    payload = {
+    return {
         "dims": [a.dim, b.dim],
         "result": hom_dim(a, b),
         "method": "enumerated",
-    }
-    return payload, 0
+    }, 0
 
 
 def _cmd_specht_decomposable(args: argparse.Namespace) -> Payload:
     module = build_specht(args.lam, args.p)
     basis = end_ring(module)
     method = "enumerated" if args.p ** len(basis) <= ENUMERATE_BOUND else "fitting"
-    payload = {
+    return {
         "dims": [module.dim],
         "result": is_decomposable(module, seed=args.seed),
         "method": method,
-    }
-    return payload, 0
+    }, 0
 
 
 def _cmd_specht_h0(args: argparse.Namespace) -> Payload:
     result = h0_dim(args.lam, args.p)
-    payload = {
+    return {
         "dims": [hook_length_dim(args.lam)],
         "result": result,
         "method": "enumerated",
-    }
-    return payload, 0
+    }, 0
 
 
-def _run_scan(which: str, inputs: Dict[str, Any], jobs: int = 1) -> SearchReport:
-    scan, keys, sharded = _SCANS[which]
-    values = [Partition(inputs[k]) if k == "lambda" else inputs[k] for k in keys]
-    return scan(*values, jobs=jobs) if sharded else scan(*values)
+def _run_scan(which: str, inputs: Dict[str, Any]) -> SearchReport:
+    scan, keys = _SCANS[which]
+    return scan(*(Partition(inputs[k]) if k == "lambda" else inputs[k] for k in keys))
 
 
 def _cmd_search(args: argparse.Namespace) -> Payload:
     inputs = {**vars(args), "lambda": getattr(args, "lam", None)}
-    report = _run_scan(args.which, inputs, getattr(args, "jobs", 1))
+    report = _run_scan(args.which, inputs)
     return report, 2 if report.counterexamples else 0
 
 
@@ -296,6 +282,8 @@ _EXPECTED_KEYS = {
     "specht": ("hom_dim", "decomposable", "invariants", "end_dim"),
     "search": ("hit_count", "counterexamples", "pairs", "hit_lambdas"),
 }
+# the scans whose hits carry what a search fixture's pairs or hit_lambdas read
+_HIT_FIELDS = {"pairs": {"multi-twist"}, "hit_lambdas": set(_SCANS) - {"multi-twist", "census"}}
 
 
 def _check_fixture(fx: Any, index: int) -> None:
@@ -335,6 +323,9 @@ def _check_fixture(fx: Any, index: int) -> None:
                 f"fixture {label}: 'expected' must be a non-empty dict with keys from"
                 f" {', '.join(allowed)}"
             )
+        for key in sorted(expected.keys() & _HIT_FIELDS.keys()):
+            if inputs["search"] not in _HIT_FIELDS[key]:
+                raise TwistlabError(f"fixture {label}: a {inputs['search']} search has no {key!r}")
 
 
 def _cmd_verify(args: argparse.Namespace) -> Payload:
@@ -537,7 +528,7 @@ def _build_parser() -> _Parser:
 
     search = commands.add_parser("search", help="exhaustive scans with audited reports")
     search_sub = search.add_subparsers(dest="which", required=True, metavar="SCAN")
-    for name, (_, keys, sharded) in _SCANS.items():
+    for name, (_, keys) in _SCANS.items():
         scan = search_sub.add_parser(name)
         scan.add_argument("--p", type=int, required=True)
         if "d" in keys:
@@ -545,8 +536,6 @@ def _build_parser() -> _Parser:
         if "lambda" in keys:
             _add_lambda(scan)
             scan.add_argument("--max-b", dest="max_b", type=int, required=True)
-        if sharded:
-            scan.add_argument("--jobs", type=int, default=1)
         _add_common(scan)
         scan.set_defaults(handler=_cmd_search, which=name)
 

@@ -22,10 +22,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, repeat
-from math import ceil
 from typing import Optional
 
 from .errors import (
+    CongruenceViolated,
     HypothesisViolated,
     InvalidSymbol,
     NoInsertion,
@@ -34,7 +34,7 @@ from .errors import (
     TooLarge,
     check_prime,
 )
-from .partitions import Partition
+from .partitions import Partition, _check_rows
 
 # single rim steps (strips or insertions) one run may make, its jumps not
 # counted; a run whose profiles take longer to repeat is refused, not walked
@@ -330,7 +330,8 @@ def tau_closed_form(n: int, p: int) -> Partition:
     check_prime(p)
     if n < 1:
         raise HypothesisViolated("n must be positive")
-    k = ceil(n / (p - 1))
+    k = -(-n // (p - 1))
+    _check_rows(k, f"tau({n}, {p})")
     last = n - (p - 1) * (k - 1)
     return Partition([p - 1] * (k - 1) + [last])
 
@@ -344,7 +345,7 @@ def tau(n: int, p: int) -> Partition:
     expected = tau_closed_form(n, p)
     value = mullineux_map(Partition((n,)), p).conjugate()
     if value != expected:
-        raise AssertionError(f"tau({n}, {p}): {value} != closed form {expected}")
+        raise CongruenceViolated(f"tau({n}, {p}): {value} != closed form {expected}")
     return value
 
 
@@ -358,5 +359,5 @@ def steinberg_difference(lam: Partition, p: int) -> Partition:
     diff = mullineux_map(lam.scale(p * p), p).subtract(mullineux_map(lam.scale(p), p))
     expected = lam.hat(p).scale(p)
     if diff != expected:
-        raise AssertionError(f"difference {diff} is not {expected}")
+        raise CongruenceViolated(f"difference {diff} is not {expected}")
     return diff

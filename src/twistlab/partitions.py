@@ -16,9 +16,17 @@ from .errors import (
     NonPartitionDifference,
     NotDistinctParts,
     Overflow,
+    TooLarge,
 )
 
 _PART_MAX = 2**63 - 1
+# partitions built row by row (hat, the closed form of tau) have at most this many rows
+_MAX_ROWS = 100_000
+
+
+def _check_rows(rows: int, what: str) -> None:
+    if rows > _MAX_ROWS:
+        raise TooLarge(f"{what} has {rows} rows, over the limit of {_MAX_ROWS}")
 
 
 class Partition:
@@ -163,10 +171,8 @@ class Partition:
         """Repeat each part p-1 times; defined only for distinct parts."""
         if not self.has_distinct_parts():
             raise NotDistinctParts(f"{self} has a repeated part")
-        out: list[int] = []
-        for part in self._parts:
-            out.extend([part] * (p - 1))
-        return Partition(out)
+        _check_rows(len(self) * (p - 1), f"hat({self}) at p={p}")
+        return Partition(part for part in self._parts for _ in range(p - 1))
 
     def divide(self, c: int) -> Optional["Partition"]:
         """Exact row-wise quotient by c, or None if some part is not divisible."""

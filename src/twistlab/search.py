@@ -8,14 +8,11 @@ recomputed images, quotients, or digit witnesses) so a report can be audited
 without rerunning the scan.
 
 The scans over partitions of d are a visitor plus one driver, ``_scan``.  A
-visitor is a module-level function (so it pickles into worker processes)
-that takes one partition and p and returns its hits, its counterexamples
+visitor takes one partition and p and returns its hits, its counterexamples
 and the number of cases it scanned: 1, or the number of mu pairs for the
-two-row Ext^1 scan.  The driver shards the family by first part, visits
-the shards serially or in a process pool when ``jobs > 1``, and merges
-them in enumeration order, so ``jobs`` changes the wall clock but never the
-body.  ``_SCANS`` names every scan once, for the command line and the
-fixture checker.
+two-row Ext^1 scan.  The driver visits the family in enumeration order and
+concatenates what the visitors return.  ``_SCANS`` names every scan once,
+for the command line and the fixture checker.
 
 Reports are deterministic: identical parameters yield byte-identical bodies.
 Wall-clock time lives outside the body, in :attr:`SearchReport.elapsed`.
@@ -25,9 +22,7 @@ from __future__ import annotations
 
 import json
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import __version__
@@ -109,25 +104,10 @@ def _report(search: str, parameters: Dict[str, Any], hits: Sequence[Hit],
     )
 
 
-def _visit_shard(visit: Visitor, p: int, shard: List[Partition]) -> List[Visit]:
-    return [visit(lam, p) for lam in shard]
-
-
-def _scan(search: str, visit: Visitor, d: int, p: int, kind: str, jobs: int) -> SearchReport:
-    """Visit every partition of d in the family ``kind``, over ``jobs`` processes."""
+def _scan(search: str, visit: Visitor, d: int, p: int, kind: str) -> SearchReport:
+    """Visit every partition of d in the family ``kind``, in enumeration order."""
     start = time.perf_counter()
-    groups: Dict[int, List[Partition]] = {}
-    for lam in enumerate_partitions(d, kind, p):
-        groups.setdefault(lam.part(0), []).append(lam)
-    # decreasing first part = enumeration order of the groups themselves
-    shards = [groups[k] for k in sorted(groups, reverse=True)]
-    work = partial(_visit_shard, visit, p)
-    if jobs <= 1 or len(shards) <= 1:
-        results = [work(shard) for shard in shards]
-    else:
-        with ProcessPoolExecutor(max_workers=min(jobs, len(shards))) as pool:
-            results = list(pool.map(work, shards))
-    visits = [v for block in results for v in block]
+    visits = [visit(lam, p) for lam in enumerate_partitions(d, kind, p)]
     hits = [h for v in visits for h in v[0]]
     bad = [c for v in visits for c in v[1]]
     return _report(search, {"d": d, "p": p}, hits, bad, sum(v[2] for v in visits), start)
@@ -149,13 +129,13 @@ def _visit_fixed_point(lam: Partition, p: int) -> Visit:
     return [hit], [], 1
 
 
-def find_twist_commuting(d: int, p: int, jobs: int = 1) -> SearchReport:
+def find_twist_commuting(d: int, p: int) -> SearchReport:
     """All p-regular partitions of d whose twist by p commutes with the map.
 
     A hit is a partition lam with m(p*lam) = p*m(lam); both images are stored
     so the identity can be rechecked from the report alone.
     """
-    return _scan("fixed-points", _visit_fixed_point, d, p, "p_regular", jobs)
+    return _scan("fixed-points", _visit_fixed_point, d, p, "p_regular")
 
 
 def _visit_persistence(lam: Partition, p: int) -> Visit:
@@ -168,14 +148,14 @@ def _visit_persistence(lam: Partition, p: int) -> Visit:
     return ([record], [], 1) if twice == once.scale(p) else ([], [record], 1)
 
 
-def check_twist_persistence(d: int, p: int, jobs: int = 1) -> SearchReport:
+def check_twist_persistence(d: int, p: int) -> SearchReport:
     """Whether every twist-commuting partition of d stays twist-commuting.
 
     Scans the p-regular partitions of d; among those with m(p*lam) = p*m(lam),
     the hits also satisfy m(p^2*lam) = p*m(p*lam) and the counterexamples do
     not.  The counterexample list is expected to be empty.
     """
-    return _scan("persistence", _visit_persistence, d, p, "p_regular", jobs)
+    return _scan("persistence", _visit_persistence, d, p, "p_regular")
 
 
 def _visit_p_image(lam: Partition, p: int) -> Visit:
@@ -186,13 +166,13 @@ def _visit_p_image(lam: Partition, p: int) -> Visit:
     return [{"lambda": _parts(lam), "m_p_lambda": _parts(twisted), "tau": _parts(tau)}], [], 1
 
 
-def find_p_image(d: int, p: int, jobs: int = 1) -> SearchReport:
+def find_p_image(d: int, p: int) -> SearchReport:
     """All p-regular lam of d where m(p*lam) is itself p times a partition.
 
     Each hit stores the quotient tau = m(p*lam)/p as its certificate.  This
     is strictly weaker than twist commuting, so those hits always reappear.
     """
-    return _scan("p-image", _visit_p_image, d, p, "p_regular", jobs)
+    return _scan("p-image", _visit_p_image, d, p, "p_regular")
 
 
 def multi_twist_scan(lam: Partition, p: int, max_b: int) -> SearchReport:
@@ -243,14 +223,14 @@ def _visit_ks(lam: Partition, p: int) -> Visit:
     return changed, unstable, len(targets)
 
 
-def ks_stability_scan(d: int, p: int, jobs: int = 1) -> SearchReport:
+def ks_stability_scan(d: int, p: int) -> SearchReport:
     """Scan all ordered two-row pairs of d for twist instability of Ext^1.
 
     Counterexamples collect pairs where the p-scaled and p^2-scaled dimensions
     differ (expected none); hits collect the milder phenomenon where the first
     scaling already changes the unscaled answer.  ``scanned`` counts pairs.
     """
-    return _scan("ks-stability", _visit_ks, d, p, "two_part", jobs)
+    return _scan("ks-stability", _visit_ks, d, p, "two_part")
 
 
 def census(d: int, p: int) -> SearchReport:
@@ -275,13 +255,13 @@ def census(d: int, p: int) -> SearchReport:
     return _report("census", {"d": d, "p": p}, hits, (), scanned, start)
 
 
-# scan name -> (function, its leading arguments as input keys, takes jobs);
-# the command line and the fixture checker read their scans from here
-_SCANS: Dict[str, Tuple[Callable[..., SearchReport], Tuple[str, ...], bool]] = {
-    "fixed-points": (find_twist_commuting, ("d", "p"), True),
-    "persistence": (check_twist_persistence, ("d", "p"), True),
-    "p-image": (find_p_image, ("d", "p"), True),
-    "multi-twist": (multi_twist_scan, ("lambda", "p", "max_b"), False),
-    "ks-stability": (ks_stability_scan, ("d", "p"), True),
-    "census": (census, ("d", "p"), False),
+# scan name -> (function, its arguments as input keys); the command line and
+# the fixture checker read their scans from here
+_SCANS: Dict[str, Tuple[Callable[..., SearchReport], Tuple[str, ...]]] = {
+    "fixed-points": (find_twist_commuting, ("d", "p")),
+    "persistence": (check_twist_persistence, ("d", "p")),
+    "p-image": (find_p_image, ("d", "p")),
+    "multi-twist": (multi_twist_scan, ("lambda", "p", "max_b")),
+    "ks-stability": (ks_stability_scan, ("d", "p")),
+    "census": (census, ("d", "p")),
 }

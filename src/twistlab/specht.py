@@ -38,10 +38,10 @@ batch of relations; that costs O(n_a k n_b^2) time and O(n_a k n_b) memory
 for k candidates, never the n_a n_b^2 table of every word on B.  A direct
 Kronecker-product solver is kept alongside as the oracle for the fast path.
 
-build_specht refuses a permutation module of more than DEFAULT_MAX_DIM
-tabloids with TooLarge.  The TWISTLAB_MAX_DIM environment variable is the one
-override of that budget, for a run that genuinely needs a module with
-millions of tabloids.
+build_specht refuses degree 63 and up, and a permutation module of more
+than DEFAULT_MAX_DIM tabloids, with TooLarge.  The TWISTLAB_MAX_DIM
+environment variable is the one override of the second budget, for a run
+that genuinely needs a module with millions of tabloids.
 """
 
 from __future__ import annotations
@@ -60,6 +60,9 @@ from .gf import Echelon, mm, nullspace, rank, rref, rref_with_transform
 from .partitions import Partition
 
 DEFAULT_MAX_DIM = 100_000
+# past this degree two-row tabloid codes overflow 64 bits; one-row shapes do not,
+# but would cost a factorial and a recursion as deep as the degree
+_MAX_DEGREE = 62
 # bytes of skeleton arrays kept between calls: every skeleton h0_dim builds
 # up to degree 10 (about 51 MB) fits, so a loop with the prime outermost
 # builds each shape once
@@ -70,6 +73,11 @@ _MAX_PRIME = 127
 # ENUMERATE_BOUND, and otherwise this many random elements
 ENUMERATE_BOUND = 2**20
 _SAMPLES = 64
+
+
+def _check_degree(lam: Partition) -> None:
+    if lam.size > _MAX_DEGREE:
+        raise TooLarge(f"{lam} has degree {lam.size}, over the limit of {_MAX_DEGREE}")
 
 
 def perm_module_dim(lam: Partition) -> int:
@@ -356,6 +364,7 @@ def build_specht(lam: Partition, p: int) -> SpechtModule:
     check_prime(p)
     if p > _MAX_PRIME:
         raise Overflow(f"residues mod {p} do not fit the int8 basis (p <= {_MAX_PRIME})")
+    _check_degree(lam)
     env = os.environ.get("TWISTLAB_MAX_DIM")
     limit = int(env) if env else DEFAULT_MAX_DIM
     m = perm_module_dim(lam)
@@ -614,6 +623,7 @@ def h0_dim(lam: Partition, p: int) -> int:
     The cost is building the two generator matrices (each a dim x dim by
     dim x m coordinate recheck) plus two dim x dim by dim x 1 products.
     """
+    _check_degree(lam)
     if perm_module_dim(lam) <= perm_module_dim(lam.conjugate()):
         return invariants_dim(build_specht(lam, p))
     module = build_specht(lam.conjugate(), p)

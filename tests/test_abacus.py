@@ -48,8 +48,10 @@ def test_too_many_beads():
     assert to_abacus(Partition((3, 2, 1)), 3, beads=_MAX_BEADS).beads == _MAX_BEADS
     with pytest.raises(TooLarge):
         to_abacus(Partition((3, 2, 1)), 3, beads=_MAX_BEADS + 1)
+    # past the limit the default bead count is the length, not a multiple of p
+    assert p_core(Partition((1,)), _MAX_BEADS + 1).core == Partition((1,))
     with pytest.raises(TooLarge):
-        p_core(Partition((1,)), _MAX_BEADS + 1)  # the default bead count is p
+        p_core(Partition((1,) * (_MAX_BEADS + 1)), 2)
 
 
 def test_picture_is_cut_at_a_fixed_size():

@@ -250,8 +250,8 @@ def test_criterion_11_abacus_oracles():
 
 
 def test_criterion_12_deterministic_reports():
-    runs = [find_twist_commuting(12, 3, jobs=j) for j in (1, 1, 2)]
-    assert runs[0].body_bytes() == runs[1].body_bytes() == runs[2].body_bytes()
+    runs = [find_twist_commuting(12, 3) for _ in range(2)]
+    assert runs[0].body_bytes() == runs[1].body_bytes()
     scans = [ks_stability_scan(15, 3) for _ in range(2)]
     assert scans[0].body_bytes() == scans[1].body_bytes()
     twists = [multi_twist_scan(Partition((3, 1)), 3, 4) for _ in range(2)]

@@ -181,10 +181,21 @@ def test_parts_past_64_bits_are_usage_errors(capsys, argv):
         ("abacus --p 2 --lambda 9223372036854775807", 0, None),
         ("abacus --p 1000000007 --lambda 3,1 --beads 2", 0, None),
         ("abacus --p 2 --lambda 1 --beads 10000000", 1, "TooLarge"),
-        ("abacus --p 1000000007 --lambda 3,1", 1, "TooLarge"),
+        ("abacus --p 1000000007 --lambda 3,1", 0, None),
+        ("hat --p 1000000007 --lambda 3,1", 1, "TooLarge"),
+        ("hat --p 1000003 --lambda 3,1", 1, "TooLarge"),
+        ("tau --p 3 --n 10000000", 1, "TooLarge"),
+        ("tau --p 3 --n 1000000000", 1, "TooLarge"),
+        ("specht h0 --p 2 --lambda 2000", 1, "TooLarge"),
+        ("specht h0 --p 2 --lambda 20000", 1, "TooLarge"),
+        ("specht h0 --p 2 --lambda 1000000000", 1, "TooLarge"),
+        ("specht hom --p 2 --lam 1000000 --mu 1000000", 1, "TooLarge"),
+        ("murphy --d 201 --r 100", 1, "TooLarge"),
+        ("murphy --d 321 --r 160", 1, "TooLarge"),
     ],
 )
 def test_huge_abacus_calls_end_quickly(capsys, argv, code, error):
+    # every command whose input size once escaped a budget, the abacus first
     start = time.perf_counter()
     got, out, err = run_cli(capsys, *argv.split())
     assert time.perf_counter() - start < 1.0
@@ -408,6 +419,10 @@ def test_verify_rejects_malformed_fixtures(tmp_path, capsys, fixtures, named):
         ({"kind": "specht", "inputs": {"p": 3, "lambda": [2, 1]}, "expected": {}},
          "'expected' must be a non-empty dict"),
         ({"kind": "frob", "inputs": {}, "expected": 0}, "unknown fixture kind 'frob'"),
+        ({"kind": "search", "inputs": {"search": "census", "d": 0, "p": 2},
+          "expected": {"pairs": []}}, "a census search has no 'pairs'"),
+        ({"kind": "search", "inputs": {"search": "multi-twist", "lambda": [2, 1], "p": 5,
+          "max_b": 3}, "expected": {"hit_lambdas": []}}, "a multi-twist search has no"),
     ],
 )
 def test_verify_checks_input_types_per_kind(tmp_path, capsys, fixture, complaint):

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import twistlab.criteria as criteria
+import twistlab.mullineux as mullineux
 from twistlab.criteria import (
     h0_failed_row,
     h0_prepend_stable,
@@ -22,6 +23,7 @@ from twistlab.errors import (
     NotTwoPart,
     PrimeTooSmall,
 )
+from twistlab.mullineux import tau
 from twistlab.partitions import Partition, l_p
 
 
@@ -164,11 +166,13 @@ def test_h0_prepend_stability():
         ("murphy_end_dim", lambda: murphy_twist_invariance(7, 2)),
         ("murphy_indecomposable", lambda: murphy_twist_invariance(7, 2)),
         ("h0_specht_nonzero", lambda: h0_prepend_stable(Partition((8, 2)), 17, 3)),
+        ("tau_closed_form", lambda: tau(5, 3)),
     ],
 )
 def test_checked_booleans_raise_when_their_sides_disagree(monkeypatch, inner, check):
     # an explicit raise, so the check survives python -O, which strips asserts
     answers = iter(range(10))
-    monkeypatch.setattr(criteria, inner, lambda *args: next(answers))
-    with pytest.raises(AssertionError):
+    owner = mullineux if inner == "tau_closed_form" else criteria
+    monkeypatch.setattr(owner, inner, lambda *args: next(answers))
+    with pytest.raises(CongruenceViolated):
         check()

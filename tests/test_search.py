@@ -4,7 +4,6 @@ import pytest
 
 from twistlab.partitions import Partition
 from twistlab.search import (
-    _SCANS,
     SearchReport,
     census,
     check_twist_persistence,
@@ -98,14 +97,6 @@ def test_reports_are_deterministic():
     assert multi_twist_scan(Partition((3, 1)), 3, 4).body_bytes() == multi_twist_scan(
         Partition((3, 1)), 3, 4
     ).body_bytes()
-
-
-@pytest.mark.parametrize("name", [name for name, (_, _, sharded) in _SCANS.items() if sharded])
-def test_parallel_runs_match_serial(name):
-    scan = _SCANS[name][0]
-    parallel = scan(9, 3, jobs=2)
-    assert parallel.scanned > 0
-    assert parallel.body_bytes() == scan(9, 3, jobs=1).body_bytes()
 
 
 def test_elapsed_is_excluded_from_the_body():
