@@ -39,6 +39,11 @@ from .partitions import Partition, _check_rows
 # single rim steps (strips or insertions) one run may make, its jumps not
 # counted; a run whose profiles take longer to repeat is refused, not walked
 _MAX_RUN_STEPS = 5_000
+# single steps times rows one run may make: each single step costs O(rows),
+# so a few steps over a column of 10^5 rows are refused as well; the largest
+# answered runs are about 1.9 million (tau(2 * 10**6, 100003): 19 steps of
+# 100,002 rows) and 0.2 million (37^3 (2,1,1): 2,737 steps of 71 rows)
+_MAX_RUN_ROW_STEPS = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -143,11 +148,16 @@ def _cycle_jump(
 
 
 def _count_step(singles: int, a: int, r: int) -> int:
-    """One more single step in the run of column (a; r), refused past the cap."""
+    """One more single step in the run of column (a; r), refused past either cap."""
     if singles >= _MAX_RUN_STEPS:
         raise TooLarge(
             f"the run of column ({a};{r}) takes over {_MAX_RUN_STEPS} single rim steps"
             " before its profiles repeat"
+        )
+    if (singles + 1) * r > _MAX_RUN_ROW_STEPS:
+        raise TooLarge(
+            f"the run of column ({a};{r}) takes over {_MAX_RUN_ROW_STEPS // r} single"
+            f" steps of {r} rows, over the limit of {_MAX_RUN_ROW_STEPS} row steps"
         )
     return singles + 1
 
@@ -267,8 +277,9 @@ def _rebuild_run(nu: tuple[int, ...], a: int, r: int, p: int, run: int) -> tuple
     r*p is a search limit, not a theorem.  When no period passes, one single
     step is made, and a run that makes more than _MAX_RUN_STEPS single steps
     (its transient and any period longer than the cap walked one step at a
-    time) raises TooLarge, in stripping as in insertion, so the time a map
-    takes stays bounded.
+    time), or whose single steps times its r rows pass _MAX_RUN_ROW_STEPS
+    (each single step costs O(r)), raises TooLarge, in stripping as in
+    insertion, so the time a map takes stays bounded.
 
     Checking the first and the last cycle suffices.  After j cycles the
     state is the start plus or minus j*total; within a cycle each strip

@@ -32,11 +32,14 @@ Hom spaces between two modules use the fact that a Specht module is
 generated by its first standard polytabloid: spin that vector to a basis,
 record the spin tree, and a homomorphism is pinned down by the image of the
 seed, subject to one linear condition per non-spawning (vector, generator)
-pair.  The solver keeps the space of candidate seed images, spins it along
-the tree only as far as the next relations reach, and shrinks it after each
-batch of relations; that costs O(n_a k n_b^2) time and O(n_a k n_b) memory
-for k candidates, never the n_a n_b^2 table of every word on B.  A direct
-Kronecker-product solver is kept alongside as the oracle for the fast path.
+pair.  The candidate seed images start as the vectors of B with the column
+signs of the seed, tau x = -x for each transposition tau in a column of the
+first tableau, found by index lookups into the tabloid codes.  The solver
+spins that space along the tree only as far as the next relations reach,
+and shrinks it after each batch of relations; that costs O(n_a k n_b^2)
+time and O(n_a k n_b) memory for k candidates, never the n_a n_b^2 table of
+every word on B.  A direct Kronecker-product solver, with no cut, is kept
+alongside as the oracle for the fast path.
 
 build_specht refuses degree 63 and up, and a permutation module of more
 than DEFAULT_MAX_DIM tabloids, with TooLarge.  The TWISTLAB_MAX_DIM
@@ -237,29 +240,36 @@ class _SkeletonCache:
         self._bytes = self._hits = self._misses = 0
 
 
+def _code_powers(parts: tuple[int, ...]) -> tuple[int, np.ndarray]:
+    """Radix and place values of tabloid codes: number q in row i adds i * powers[q]."""
+    d = sum(parts)
+    n_rows = max(len(parts), 1)
+    if d and n_rows**d >= 2**63:
+        raise TooLarge(f"cannot pack tabloid codes for {Partition(parts)} into 64 bits")
+    return n_rows, n_rows ** np.arange(d, dtype=np.int64)
+
+
+def _index_of(codes: np.ndarray, wanted: np.ndarray) -> np.ndarray:
+    """Positions of the wanted codes in the sorted tabloid codes."""
+    found = np.searchsorted(codes, wanted)
+    if found.size and (found.max() >= len(codes) or not np.array_equal(codes[found], wanted)):
+        raise AssertionError("image is not a tabloid of this shape")
+    return found
+
+
 @_SkeletonCache
 def _skeleton(parts: tuple[int, ...]) -> _Skeleton:
     lam = Partition(parts)
     d = lam.size
-    n_rows = max(len(parts), 1)
-    if d and n_rows**d >= 2**63:
-        raise TooLarge(f"cannot pack tabloid codes for {lam} into 64 bits")
-
+    _, powers = _code_powers(parts)
     table = _tabloid_table(parts, d)
-    powers = n_rows ** np.arange(d, dtype=np.int64)
     codes = table.astype(np.int64) @ powers
     order = np.argsort(codes)
     table, codes = table[order], codes[order]
     m = table.shape[0]
 
-    def index_of(wanted: np.ndarray) -> np.ndarray:
-        found = np.searchsorted(codes, wanted)
-        if found.size and (found.max() >= m or not np.array_equal(codes[found], wanted)):
-            raise AssertionError("image is not a tabloid of this shape")
-        return found
-
     gens = np.stack(_generator_maps(d))
-    sigma = [index_of(table[:, g] @ powers) for g in gens]
+    sigma = [_index_of(codes, table[:, g] @ powers) for g in gens]
     signs = [int(s) for s in _perm_parity(gens)]
 
     # words[s] lists tableau s cell by cell in row-reading order; the first
@@ -272,7 +282,7 @@ def _skeleton(parts: tuple[int, ...]) -> _Skeleton:
     land, col_signs = _column_group(parts)
     # codes of {c.t} for every column permutation c (rows) and tableau t
     # (columns); row 0 is the identity, so it holds the tabloids {t}
-    found = index_of(land @ powers[words].T)
+    found = _index_of(codes, land @ powers[words].T)
     b_signed = np.zeros((dim, m), dtype=np.int8)
     # distinct column permutations give distinct tabloids: no sums needed
     b_signed[np.arange(dim), found] = col_signs[:, None]
@@ -293,6 +303,7 @@ class SpechtModule:
         self._sk = skeleton
         self.basis = np.mod(skeleton.b_signed, p, dtype=np.int8)
         self._std_inverse: Optional[np.ndarray] = None
+        self._std_rows: Optional[np.ndarray] = None
         self._gens: Optional[list[np.ndarray]] = None
         self._end: Optional[list[np.ndarray]] = None
 
@@ -346,6 +357,17 @@ class SpechtModule:
 
     def generator_signs(self) -> tuple[int, int]:
         return self._sk.gen_signs
+
+    def _standard_rows(self) -> np.ndarray:
+        """Row of each number 0..d-1 in each standard tabloid {t}, read off its code.
+
+        Only Hom spaces need this, so it is built on the first call rather
+        than with the skeleton.
+        """
+        if self._std_rows is None:
+            n_rows, powers = _code_powers(self.lam.parts)
+            self._std_rows = self._sk.codes[self._sk.std][:, None] // powers % n_rows
+        return self._std_rows
 
     # -- invariants -------------------------------------------------------
 
@@ -415,7 +437,44 @@ def _spin_basis(p: int, gens: list[np.ndarray]) -> tuple[np.ndarray, ...]:
     return vecs, np.concatenate(origin), np.concatenate(spare), np.concatenate(spare_img)
 
 
-def _spin_hom(p: int, gens_a: list[np.ndarray], gens_b: list[np.ndarray]) -> list[np.ndarray]:
+def _seed_space(a: SpechtModule, b: SpechtModule) -> np.ndarray:
+    """Rows spanning the x in S^b with tau x = -x for each column transposition tau of t.
+
+    t is the first standard tableau of a, the row-reading one, so e_t is
+    basis vector 0 of a, and tau e_t = sgn(tau) e_t for tau in the column
+    group of t; the image x of e_t under any map S^a -> S^b must obey the
+    same signs (James, LNM 682, section 17).  Adjacent cells of a column
+    give transpositions that generate the column group.  tau x + x lies in
+    S^b, so it vanishes when it vanishes on the standard tabloids {t_s}:
+    on B's tabloid coordinates, x (basis[:, tau{t_s}] - sgn(tau) basis[:, {t_s}])
+    = 0 for every s.  tau{t_s} swaps two digits of the code of {t_s}, so
+    each transposition costs one lookup per tabloid and one block of dim b
+    conditions.  The cut is sound but not complete: the spin still imposes
+    every relation.
+    """
+    p = b.p
+    parts = a.lam.parts
+    codes, std = b._sk.codes, b._sk.std
+    _, powers = _code_powers(b.lam.parts)
+    rows = b._standard_rows()
+    sign = -1  # sgn of a transposition
+    start = np.cumsum((0,) + parts[:-1])  # the entry in row i, column j of t is start[i] + j
+    cut = Echelon(p, b.dim)
+    for i in range(len(parts) - 1):
+        for j in range(parts[i + 1]):
+            u, v = start[i] + j, start[i + 1] + j
+            swapped = codes[std] + (rows[:, v] - rows[:, u]) * (powers[u] - powers[v])
+            moved = _index_of(codes, swapped)
+            block = b.basis[:, moved].astype(np.int64) - sign * b.basis[:, std]
+            cut.add(np.mod(block, p).T)
+            if cut.rank == b.dim:
+                return cut.basis[:0]
+    return cut.kernel()
+
+
+def _spin_hom(
+    p: int, gens_a: list[np.ndarray], gens_b: list[np.ndarray], seeds: np.ndarray
+) -> list[np.ndarray]:
     """Hom space between modules, assuming A is generated by basis vector 0.
 
     Spin e_0 under the generators of A to a basis v_0..v_{n_a-1}, recording
@@ -425,16 +484,20 @@ def _spin_hom(p: int, gens_a: list[np.ndarray], gens_b: list[np.ndarray]) -> lis
     basis vector is a relation v_i g = sum_j c_j v_j, which f must respect:
     (v_i f) g = sum_j c_j (v_j f).
 
-    The candidate seed images are the rows of K (k x n_b, at first the
-    identity).  Their images on the spin basis are spun lazily along the
-    tree, a prefix of nodes at a time: relations are sorted by the last node
-    they touch, and each round doubles the spun prefix, imposes every
-    relation it now reaches with one product, and replaces K and the images
-    already spun by the kernel of those conditions.  Every relation is
-    imposed, so the result is exact.  The images of k candidates on n_a
-    nodes cost O(n_a k n_b^2) time and O(n_a k n_b) memory, and k collapses
-    after the first rounds.
+    The candidate seed images are the rows of K (k x n_b), at first
+    `seeds`, a space known to hold every seed image (the column-sign cut of
+    _seed_space, or the identity).  Their images on the spin basis are
+    spun lazily along the tree, a prefix of nodes at a time: relations are
+    sorted by the last node they touch, and each round doubles the spun
+    prefix, imposes every relation it now reaches with one product, and
+    replaces K and the images already spun by the kernel of those
+    conditions.  Every relation is imposed, so the result is exact.  The
+    images of k candidates on n_a nodes cost O(n_a k n_b^2) time and
+    O(n_a k n_b) memory; k starts at the dimension of the seed space and
+    only shrinks from there.
     """
+    if seeds.shape[0] == 0:
+        return []
     n_a = gens_a[0].shape[0]
     n_b = gens_b[0].shape[0]
 
@@ -452,7 +515,7 @@ def _spin_hom(p: int, gens_a: list[np.ndarray], gens_b: list[np.ndarray]) -> lis
     reach = reach[order]
 
     # imgs[j, c] is the image of v_j under candidate c; imgs[0] is K
-    imgs = np.eye(n_b, dtype=np.int64)[None]
+    imgs = seeds[None]
     done = 0
     while done < len(order):
         spun = imgs.shape[0]
@@ -532,7 +595,7 @@ def _require_compatible(a: SpechtModule, b: SpechtModule) -> None:
 def hom_space(a: SpechtModule, b: SpechtModule) -> list[np.ndarray]:
     """Basis of the equivariant maps S^a -> S^b (matrices on Specht bases)."""
     _require_compatible(a, b)
-    return _spin_hom(a.p, a.generators(), b.generators())
+    return _spin_hom(a.p, a.generators(), b.generators(), _seed_space(a, b))
 
 
 def hom_space_direct(a: SpechtModule, b: SpechtModule) -> list[np.ndarray]:
@@ -550,7 +613,7 @@ def hom_dim(a: SpechtModule, b: SpechtModule) -> int:
 def end_ring(a: SpechtModule) -> list[np.ndarray]:
     """Basis of the endomorphism algebra, cached on the module."""
     if a._end is None:
-        a._end = _spin_hom(a.p, a.generators(), a.generators())
+        a._end = _spin_hom(a.p, a.generators(), a.generators(), _seed_space(a, a))
     return a._end
 
 

@@ -103,6 +103,45 @@ def test_murphy_summands_can_exceed_two():
     assert murphy_summand_count(15, 4) == 3
 
 
+def _overlap_products_term_by_term(d, r):
+    """N[k][i][j] mod 2 summed one term at a time, with d as given."""
+    m = r + 1
+    table = [[[0] * m for _ in range(m)] for _ in range(m)]
+    for k in range(m):
+        for i in range(m):
+            for j in range(m):
+                for t in range(min(i, j, k) + 1):
+                    rest = r - i - j + t
+                    if rest >= 0:
+                        table[k][i][j] ^= (
+                            k & t == t
+                            and (r - k) & (j - t) == j - t
+                            and (r - k) & (i - t) == i - t
+                            and (d - 2 * r + k) & rest == rest
+                        )
+    return table
+
+
+def test_overlap_table_needs_only_the_low_bits_of_d():
+    for r in range(8):
+        for d in range(2 * r, 2 * r + 40):
+            low = d % (1 << r.bit_length())
+            table = criteria._overlap_products(low, r)
+            assert table.tolist() == _overlap_products_term_by_term(d, r), (d, r)
+
+
+def test_overlap_cache_stays_bounded_over_many_d():
+    criteria._overlap_products.cache_clear()
+    counts = [murphy_summand_count(d, 48) for d in range(97, 157, 2)]
+    info = criteria._overlap_products.cache_info()
+    assert info.currsize <= info.maxsize < 30
+    # the counts of the term-by-term table over unreduced d
+    assert counts == [
+        1, 5, 4, 7, 3, 8, 5, 7, 3, 9, 7, 11, 5, 11, 7,
+        9, 2, 9, 7, 12, 5, 13, 8, 11, 3, 10, 7, 11, 4, 9,
+    ]
+
+
 def test_murphy_even_d_is_always_scalar():
     for d in (6, 8, 10, 12, 14):
         for r in range(1, d // 2 + 1):

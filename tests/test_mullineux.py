@@ -518,6 +518,16 @@ def test_slow_cycles_stop_at_the_step_cap(monkeypatch):
         assert sum(per_run) <= 2 * cap, p
 
 
+def test_row_step_budget_counts_single_steps_times_rows(monkeypatch):
+    # m((10^4)) at p = 1009 inserts the column (1009; 1008) nine times, one
+    # single step each: 9,072 row steps
+    monkeypatch.setattr(mullineux_module, "_MAX_RUN_ROW_STEPS", 9 * 1008)
+    assert tau(10**4, 1009) == tau_closed_form(10**4, 1009)
+    monkeypatch.setattr(mullineux_module, "_MAX_RUN_ROW_STEPS", 9 * 1008 - 1)
+    with pytest.raises(TooLarge, match="row steps"):
+        tau(10**4, 1009)
+
+
 def test_slow_cycle_image_is_unchanged():
     # one run of this map makes 2,737 single insertions, under the step cap
     image = (2897,) * 8 + (2896,) + (2895,) * 26 + (2814,) * 2 + (2813,) * 34

@@ -12,6 +12,7 @@ from twistlab.errors import NotPrime, Overflow, SizeMismatch, TooLarge, Twistlab
 from twistlab.gf import Echelon, mm, nullspace, rank, rref, rref_with_transform
 from twistlab.partitions import Partition, enumerate_partitions
 from twistlab.specht import (
+    _seed_space,
     _spin_basis,
     _spin_hom,
     build_specht,
@@ -75,6 +76,76 @@ def test_hom_methods_agree_on_small_pairs():
                 assert _same_span(hom_space(a, b), hom_space_direct(a, b), p), (a, b)
 
 
+def _hom_pairs(p, max_degree, max_product=2500):
+    """Every pair of Specht modules of one degree up to max_degree, both orders."""
+    for d in range(1, max_degree + 1):
+        mods = [build_specht(lam, p) for lam in enumerate_partitions(d, "all")]
+        for a in mods:
+            for b in mods:
+                if a.dim * b.dim <= max_product:
+                    yield a, b
+
+
+def test_hom_dim_after_the_column_sign_cut_matches_the_kronecker_oracle():
+    # the Kronecker solver imposes no cut, so a wrong sign shows up here
+    checked = 0
+    for p in (2, 3, 5):
+        for a, b in _hom_pairs(p, 6):
+            assert hom_dim(a, b) == len(hom_space_direct(a, b)), (a, b)
+            checked += 1
+    assert checked == 627
+
+
+def _in_row_space(rows, vector, p):
+    return rank(np.vstack([rows, vector[None, :]]), p) == rank(rows, p)
+
+
+def test_seed_space_holds_the_seed_image_of_every_oracle_map():
+    for p in (2, 3, 5):
+        for a, b in _hom_pairs(p, 5):
+            seeds = _seed_space(a, b)
+            for f in hom_space_direct(a, b):
+                assert _in_row_space(seeds, f[0], p), (a, b)
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_identity_survives_the_cut_at_odd_p(p):
+    for d in range(1, 7):
+        for lam in enumerate_partitions(d, "all"):
+            module = build_specht(lam, p)
+            unit = np.eye(1, module.dim, dtype=np.int64)[0]
+            assert _in_row_space(_seed_space(module, module), unit, p), lam
+
+
+def test_column_signs_cut_the_seeds_of_a_non_hook_end_ring():
+    module = build_specht(Partition((4, 3, 1, 1)), 2)
+    assert module.dim == 216
+    assert _seed_space(module, module).shape[0] == 9
+
+
+def test_empty_seed_space_returns_before_spinning(monkeypatch):
+    gens = build_specht(Partition((3, 1)), 3).generators()
+
+    def refuse(*args):
+        raise AssertionError("spun a basis for an empty seed space")
+
+    monkeypatch.setattr(specht, "_spin_basis", refuse)
+    assert _spin_hom(3, gens, gens, np.zeros((0, 3), dtype=np.int64)) == []
+
+
+def test_standard_rows_wait_for_a_hom_question():
+    for lam in enumerate_partitions(6, "all"):
+        module = build_specht(lam, 3)
+        module.generators()
+        invariants_dim(module)
+        assert module._std_rows is None, lam
+        want = np.zeros((module.dim, lam.size), dtype=np.int64)
+        for s, tableau in enumerate(specht.standard_tableaux(lam.parts)):
+            for row, entries in enumerate(tableau):
+                want[s, entries] = row
+        assert np.array_equal(module._standard_rows(), want), lam
+
+
 def _one_at_a_time_spin(p, gens):
     """Reference: spin e_0 vector by vector, testing each image on its own."""
     n = gens[0].shape[0]
@@ -113,7 +184,7 @@ def test_hom_needs_a_module_generated_by_its_first_basis_vector():
     # two copies of the trivial module: e_0 spans only the first one
     eye = np.eye(2, dtype=np.int64)
     with pytest.raises(TwistlabError, match="not generated by basis vector 0"):
-        _spin_hom(3, [eye, eye], [eye, eye])
+        _spin_hom(3, [eye, eye], [eye, eye], eye)
 
 
 @pytest.mark.parametrize("lam", [(8, 1, 1, 1), (10, 1, 1, 1)])
@@ -228,7 +299,7 @@ def sign_dual_check(lam, p):
     twisted = [np.mod(signs[k] * a.generators()[k], p) for k in (0, 1)]
     eye = np.eye(b.dim, dtype=np.int64)
     dual = [solve_right(b.generators()[k], eye, p).T for k in (0, 1)]
-    homs = _spin_hom(p, twisted, dual)
+    homs = _spin_hom(p, twisted, dual, eye)  # no seed cut: the dual has no tabloids
     if not homs:
         return False
     for f in homs:
