@@ -28,18 +28,13 @@ elimination: a map from S^lambda' to the sign module is forced by its value
 on the generator e_t, so one sign functional is checked against the two
 generators.
 
-Hom spaces between two modules use the fact that a Specht module is
-generated by its first standard polytabloid: spin that vector to a basis,
-record the spin tree, and a homomorphism is pinned down by the image of the
-seed, subject to one linear condition per non-spawning (vector, generator)
-pair.  The candidate seed images start as the vectors of B with the column
-signs of the seed, tau x = -x for each transposition tau in a column of the
-first tableau, found by index lookups into the tabloid codes.  The solver
-spins that space along the tree only as far as the next relations reach,
-and shrinks it after each batch of relations; that costs O(n_a k n_b^2)
-time and O(n_a k n_b) memory for k candidates, never the n_a n_b^2 table of
-every word on B.  A direct Kronecker-product solver, with no cut, is kept
-alongside as the oracle for the fast path.
+Hom spaces rest on a presentation: S^lambda is generated by e_t, t the
+first standard tableau, subject only to its column and Garnir relations, in
+every characteristic (James, LNM 682, sections 7-8).  So the images of e_t
+under the maps S^a -> S^b are the x in S^b that every relation kills, found
+by index lookups into the tabloid codes, and each map is read off its x
+with one gather, as e_s = pi_s e_t.  A direct Kronecker-product solver,
+which knows no relations, is kept alongside as the oracle.
 
 build_specht refuses degree 63 and up, and a permutation module of more
 than DEFAULT_MAX_DIM tabloids, with TooLarge.  The TWISTLAB_MAX_DIM
@@ -54,12 +49,12 @@ import math
 import os
 from collections import OrderedDict, namedtuple
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
 from .errors import Inconclusive, Overflow, SizeMismatch, TooLarge, TwistlabError, check_prime
-from .gf import Echelon, mm, nullspace, rank, rref, rref_with_transform
+from .gf import Echelon, mm, nullspace, rank, rref_with_transform
 from .partitions import Partition
 
 DEFAULT_MAX_DIM = 100_000
@@ -328,14 +323,17 @@ class SpechtModule:
         block basis[:, std]; a row outside the row space still gets some c,
         which the recheck exposes.
         """
-        std = self._sk.std
+        c = mm(vectors[:, self._sk.std], self._std_block_inverse(), self.p)
+        return c, np.array_equal(mm(c, self.basis, self.p), vectors)
+
+    def _std_block_inverse(self) -> np.ndarray:
+        """Inverse of the unitriangular block basis[:, std], built on first use."""
         if self._std_inverse is None:
-            _, inverse, piv = rref_with_transform(self.basis[:, std], self.p)
+            _, inverse, piv = rref_with_transform(self.basis[:, self._sk.std], self.p)
             if len(piv) != self.dim:
                 raise AssertionError(f"standard-tabloid block of {self.lam} is singular")
             self._std_inverse = inverse
-        c = mm(vectors[:, std], self._std_inverse, self.p)
-        return c, np.array_equal(mm(c, self.basis, self.p), vectors)
+        return self._std_inverse
 
     def coords(self, vectors: np.ndarray) -> np.ndarray:
         """Express rows (in tabloid coordinates) in the polytabloid basis.
@@ -400,176 +398,143 @@ def build_specht(lam: Partition, p: int) -> SpechtModule:
 # -- Hom spaces ------------------------------------------------------------
 
 
-def _spin_basis(p: int, gens: list[np.ndarray]) -> tuple[np.ndarray, ...]:
-    """Spin e_0 to a basis under the two generators, breadth first.
+def _column_relations(parts: tuple[int, ...]) -> Iterator[list[tuple[np.ndarray, int]]]:
+    """1 + tau for each transposition tau of adjacent cells in a column of t.
 
-    Pair 2i + g stands for vector i times generator g.  Returns the spun
-    vectors as rows in spin order, the pair that spawned each (-1 for the
-    seed), and the pairs that spawned nothing with their images.  A whole
-    level of the tree is moved with one product per generator; the new
-    images, in the order a one-at-a-time spin meets them, are the pivot
-    columns of the transposed images once the span so far is projected away.
+    t is the row-reading tableau of the shape, whose entry in row i, column
+    j is start[i] + j.  A relation is a list of (sigma, sign) terms, sigma an
+    index map of 0..d-1; each relation kills e_t, since tau e_t = -e_t.
     """
-    n = gens[0].shape[0]
-    vecs = np.zeros((n, n), dtype=np.int64)
-    vecs[0, 0] = 1
-    acc = Echelon(p, n)
-    acc.add(vecs[:1])
-    origin = [np.array([-1])]
-    spare: list[np.ndarray] = []
-    spare_img: list[np.ndarray] = []
-    done, count = 0, 1
-    while done < count:
-        moved = np.stack([mm(vecs[done:count], g, p) for g in gens], axis=1).reshape(-1, n)
-        reduced = acc.reduce(moved)
-        _, piv = rref(reduced.T, p)
-        fresh = np.zeros(len(moved), dtype=bool)
-        fresh[piv] = True
-        acc.add(reduced[fresh])
-        vecs[count : count + len(piv)] = moved[fresh]
-        pairs = 2 * done + np.arange(len(moved))
-        origin.append(pairs[fresh])
-        spare.append(pairs[~fresh])
-        spare_img.append(moved[~fresh])
-        done, count = count, count + len(piv)
-    if count < n:
-        raise TwistlabError("module is not generated by basis vector 0")
-    return vecs, np.concatenate(origin), np.concatenate(spare), np.concatenate(spare_img)
-
-
-def _seed_space(a: SpechtModule, b: SpechtModule) -> np.ndarray:
-    """Rows spanning the x in S^b with tau x = -x for each column transposition tau of t.
-
-    t is the first standard tableau of a, the row-reading one, so e_t is
-    basis vector 0 of a, and tau e_t = sgn(tau) e_t for tau in the column
-    group of t; the image x of e_t under any map S^a -> S^b must obey the
-    same signs (James, LNM 682, section 17).  Adjacent cells of a column
-    give transpositions that generate the column group.  tau x + x lies in
-    S^b, so it vanishes when it vanishes on the standard tabloids {t_s}:
-    on B's tabloid coordinates, x (basis[:, tau{t_s}] - sgn(tau) basis[:, {t_s}])
-    = 0 for every s.  tau{t_s} swaps two digits of the code of {t_s}, so
-    each transposition costs one lookup per tabloid and one block of dim b
-    conditions.  The cut is sound but not complete: the spin still imposes
-    every relation.
-    """
-    p = b.p
-    parts = a.lam.parts
-    codes, std = b._sk.codes, b._sk.std
-    _, powers = _code_powers(b.lam.parts)
-    rows = b._standard_rows()
-    sign = -1  # sgn of a transposition
-    start = np.cumsum((0,) + parts[:-1])  # the entry in row i, column j of t is start[i] + j
-    cut = Echelon(p, b.dim)
+    d = sum(parts)
+    start = np.cumsum((0,) + parts[:-1])
     for i in range(len(parts) - 1):
         for j in range(parts[i + 1]):
             u, v = start[i] + j, start[i + 1] + j
-            swapped = codes[std] + (rows[:, v] - rows[:, u]) * (powers[u] - powers[v])
-            moved = _index_of(codes, swapped)
-            block = b.basis[:, moved].astype(np.int64) - sign * b.basis[:, std]
-            cut.add(np.mod(block, p).T)
-            if cut.rank == b.dim:
-                return cut.basis[:0]
-    return cut.kernel()
+            tau = np.arange(d)
+            tau[[u, v]] = v, u
+            yield [(np.arange(d), 1), (tau, 1)]
+
+
+def _garnir_relations(parts: tuple[int, ...]) -> Iterator[list[tuple[np.ndarray, int]]]:
+    """The Garnir sum of each column j and row i < len(column j+1) of t.
+
+    X is column j from row i down and Y column j+1 from the top to row i, so
+    X u Y is longer than column j, and the sum of sgn(sigma) sigma over coset
+    representatives of S_X x S_Y in S_{X u Y} kills e_t (James, LNM 682,
+    section 7).  The representatives swap a k-subset of X with a k-subset of
+    Y pairwise, sign (-1)^k: C(|X| + |Y|, |X|) terms, each an involution.
+    """
+    d = sum(parts)
+    start = np.cumsum((0,) + parts[:-1])
+    heights = Partition(parts).conjugate().parts
+    for j in range(len(heights) - 1):
+        for i in range(heights[j + 1]):
+            xs = [start[r] + j for r in range(i, heights[j])]
+            ys = [start[r] + j + 1 for r in range(i + 1)]
+            terms = []
+            for k in range(min(len(xs), len(ys)) + 1):
+                for out in itertools.combinations(xs, k):
+                    for into in itertools.combinations(ys, k):
+                        sigma = np.arange(d)
+                        sigma[list(out)], sigma[list(into)] = into, out
+                        terms.append((sigma, (-1) ** k))
+            yield terms
+
+
+def _seed_space(a: SpechtModule, b: SpechtModule) -> np.ndarray:
+    """Rows spanning the images x in S^b of e_t under the maps S^a -> S^b.
+
+    t is the row-reading tableau of a, so e_t is basis vector 0 of a.  S^a is
+    presented by e_t, its column relations and its Garnir relations, over
+    every field (James, LNM 682, sections 7-8; Fulton, Young Tableaux,
+    section 7.4): modulo those relations every tableau straightens to the
+    standard ones, which span S^a freely.  So x is an image of e_t exactly
+    when R x = 0 for each relation R, and this space is Hom(S^a, S^b).
+
+    R x lies in S^b, so it vanishes when it vanishes on the standard
+    tabloids {t_u} of b, and (sigma x){t_u} = x(sigma{t_u}) as each term
+    sigma is an involution: one code lookup per standard tabloid and term.
+    The column blocks are imposed on all of S^b, then the Garnir sums on
+    the k survivors only, at k x dim b per relation.
+    """
+    p = b.p
+    codes = b._sk.codes
+    _, powers = _code_powers(b.lam.parts)
+    rows = b._standard_rows()
+
+    def imposed(values: np.ndarray, relation: list[tuple[np.ndarray, int]]) -> np.ndarray:
+        # sum over the terms of sign * values at sigma{t_u}, one column per u
+        out = np.zeros((len(values), b.dim), dtype=np.int64)
+        for sigma, sign in relation:
+            out += sign * values[:, _index_of(codes, rows[:, sigma] @ powers)]
+        return np.mod(out, p)
+
+    cut = Echelon(p, b.dim)
+    for relation in _column_relations(a.lam.parts):
+        cut.add(imposed(b.basis, relation).T)
+        if cut.rank == b.dim:
+            return cut.basis[:0]
+    survivors = cut.kernel()
+    values = mm(survivors, b.basis, p)
+    cut = Echelon(p, len(survivors))
+    for relation in _garnir_relations(a.lam.parts):
+        cut.add(imposed(values, relation).T)
+        if cut.rank == len(survivors):
+            return survivors[:0]
+    return mm(cut.kernel(), survivors, p)
+
+
+def _tableau_moves(a: SpechtModule, b: SpechtModule) -> np.ndarray:
+    """Index of the tabloid pi_s^-1 {t_u} of b, for each standard tableau s of a and u of b.
+
+    pi_s takes the first tableau of a to s.  A standard tableau is fixed by
+    its tabloid: its row-reading word, the numbers sorted stably by row, is
+    pi_s.  The code of pi_s^-1 {t_u} puts the row of q in {t_u} at place
+    pi_s^-1(q), so all n_a x n_b codes come out of one integer product.
+    """
+    words = np.argsort(a._standard_rows(), axis=1, kind="stable")
+    _, powers = _code_powers(b.lam.parts)
+    moved = powers[np.argsort(words, axis=1)] @ b._standard_rows().T
+    return _index_of(b._sk.codes, moved.ravel()).reshape(moved.shape)
+
+
+def _hom(a: SpechtModule, b: SpechtModule) -> list[np.ndarray]:
+    """Maps e_s -> pi_s x for each seed x of _seed_space, on the Specht bases.
+
+    The coordinates of pi_s x need x only at the tabloids pi_s^-1 {t_u}:
+    one gather from the seeds in tabloid coordinates, then one product
+    through the inverse of b's standard-tabloid block.
+    """
+    seeds = _seed_space(a, b)
+    if not len(seeds):
+        return []
+    p = a.p
+    moves = _tableau_moves(a, b)
+    x = mm(seeds, b.basis, p)
+    maps = mm(x[:, moves].reshape(-1, b.dim), b._std_block_inverse(), p)
+    return _spin_hom(p, a.generators(), b.generators(), maps.reshape(len(seeds), a.dim, b.dim))
 
 
 def _spin_hom(
-    p: int, gens_a: list[np.ndarray], gens_b: list[np.ndarray], seeds: np.ndarray
+    p: int, gens_a: list[np.ndarray], gens_b: list[np.ndarray], maps: np.ndarray
 ) -> list[np.ndarray]:
-    """Hom space between modules, assuming A is generated by basis vector 0.
+    """Recheck a k x n_a x n_b stack of candidate maps; return them as a list.
 
-    Spin e_0 under the generators of A to a basis v_0..v_{n_a-1}, recording
-    each new vector's parent and generator.  A homomorphism f is fixed by the
-    seed image x = e_0 f, since v_j f is x times the word of v_j in the
-    generators of B.  Every (vector, generator) pair that did not spawn a
-    basis vector is a relation v_i g = sum_j c_j v_j, which f must respect:
-    (v_i f) g = sum_j c_j (v_j f).
-
-    The candidate seed images are the rows of K (k x n_b), at first
-    `seeds`, a space known to hold every seed image (the column-sign cut of
-    _seed_space, or the identity).  Their images on the spin basis are
-    spun lazily along the tree, a prefix of nodes at a time: relations are
-    sorted by the last node they touch, and each round doubles the spun
-    prefix, imposes every relation it now reaches with one product, and
-    replaces K and the images already spun by the kernel of those
-    conditions.  Every relation is imposed, so the result is exact.  The
-    images of k candidates on n_a nodes cost O(n_a k n_b^2) time and
-    O(n_a k n_b) memory; k starts at the dimension of the seed space and
-    only shrinks from there.
+    S^a is presented by e_t, its column relations and its Garnir relations,
+    in every characteristic (James, LNM 682, sections 7-8), so the maps _hom
+    reads off the seed space are homomorphisms by that theorem.  Each is
+    still checked against both generators, G_a f = f G_b, and a failure
+    raises AssertionError.  The benchmark's traces wrap this function by
+    name as the Hom layer.
     """
-    if seeds.shape[0] == 0:
-        return []
-    n_a = gens_a[0].shape[0]
-    n_b = gens_b[0].shape[0]
-
-    vecs, origin, spare, rel_img = _spin_basis(p, gens_a)
-    _, vinv, piv = rref_with_transform(vecs, p)
-    if len(piv) != n_a:
-        raise AssertionError("spin basis lost rank")
-    parent, step = origin // 2, origin % 2
-    rel_node, rel_step = spare // 2, spare % 2
-    coeff = mm(rel_img, vinv, p)
-    touched = coeff != 0
-    last = np.where(touched.any(axis=1), n_a - 1 - np.argmax(touched[:, ::-1], axis=1), 0)
-    reach = np.maximum(last, rel_node) + 1  # spun prefix a relation needs
-    order = np.argsort(reach, kind="stable")
-    reach = reach[order]
-
-    # imgs[j, c] is the image of v_j under candidate c; imgs[0] is K
-    imgs = seeds[None]
-    done = 0
-    while done < len(order):
-        spun = imgs.shape[0]
-        target = min(n_a, max(2 * spun, int(reach[done])))
-        if target > spun:
-            grown = np.empty((target, imgs.shape[1], n_b), dtype=np.int64)
-            grown[:spun] = imgs
-            imgs = grown
-            # parents never decrease in spin order, so the nodes whose parent
-            # is already spun are a prefix of the rest
-            while spun < target:
-                ready = spun + int(np.searchsorted(parent[spun:target], spun))
-                nodes = np.arange(spun, ready)
-                imgs[spun:ready] = _apply_steps(imgs, parent[nodes], step[nodes], gens_b, p)
-                spun = ready
-        hi = int(np.searchsorted(reach, target, side="right"))
-        batch = order[done:hi]
-        done = hi
-        k = imgs.shape[1]
-        moved = _apply_steps(imgs, rel_node[batch], rel_step[batch], gens_b, p)
-        combined = mm(coeff[batch, :target], imgs.reshape(target, k * n_b), p)
-        conditions = moved - combined.reshape(len(batch), k, n_b)
-        cut = Echelon(p, k)
-        if not cut.add(conditions.transpose(0, 2, 1).reshape(-1, k)):
-            continue
-        keep = cut.kernel()
-        if keep.shape[0] == 0:
-            return []
-        shrunk = mm(keep, imgs.transpose(1, 0, 2).reshape(k, target * n_b), p)
-        imgs = np.ascontiguousarray(shrunk.reshape(-1, target, n_b).transpose(1, 0, 2))
-
-    k = imgs.shape[1]
-    maps = mm(vinv, imgs.reshape(n_a, k * n_b), p).reshape(n_a, k, n_b)
-    stacked = np.ascontiguousarray(maps.transpose(1, 0, 2)).reshape(k * n_a, n_b)
+    k, n_a, n_b = maps.shape
+    rows = np.ascontiguousarray(maps.transpose(1, 0, 2)).reshape(n_a, k * n_b)
     for g in (0, 1):
-        left = mm(gens_a[g], maps.reshape(n_a, k * n_b), p).reshape(n_a, k, n_b)
-        right = mm(stacked, gens_b[g], p).reshape(k, n_a, n_b).transpose(1, 0, 2)
-        if not np.array_equal(left, right):
+        left = mm(gens_a[g], rows, p).reshape(n_a, k, n_b)
+        right = mm(maps.reshape(k * n_a, n_b), gens_b[g], p).reshape(k, n_a, n_b)
+        if not np.array_equal(left, right.transpose(1, 0, 2)):
             raise AssertionError("candidate map failed the equivariance recheck")
-    return [np.ascontiguousarray(maps[:, c]) for c in range(k)]
-
-
-def _apply_steps(
-    imgs: np.ndarray, nodes: np.ndarray, steps: np.ndarray, gens: list[np.ndarray], p: int
-) -> np.ndarray:
-    """imgs[nodes[r]] @ gens[steps[r]] for every r, one product per generator."""
-    _, k, n = imgs.shape
-    out = np.empty((len(nodes), k, n), dtype=np.int64)
-    for g in (0, 1):
-        sel = np.flatnonzero(steps == g)
-        if sel.size:
-            moved = mm(imgs[nodes[sel]].reshape(-1, n), gens[g], p)
-            out[sel] = moved.reshape(sel.size, k, n)
-    return out
+    return list(maps)
 
 
 def _kron_hom(p: int, gens_a: list[np.ndarray], gens_b: list[np.ndarray]) -> list[np.ndarray]:
@@ -595,7 +560,7 @@ def _require_compatible(a: SpechtModule, b: SpechtModule) -> None:
 def hom_space(a: SpechtModule, b: SpechtModule) -> list[np.ndarray]:
     """Basis of the equivariant maps S^a -> S^b (matrices on Specht bases)."""
     _require_compatible(a, b)
-    return _spin_hom(a.p, a.generators(), b.generators(), _seed_space(a, b))
+    return _hom(a, b)
 
 
 def hom_space_direct(a: SpechtModule, b: SpechtModule) -> list[np.ndarray]:
@@ -613,7 +578,7 @@ def hom_dim(a: SpechtModule, b: SpechtModule) -> int:
 def end_ring(a: SpechtModule) -> list[np.ndarray]:
     """Basis of the endomorphism algebra, cached on the module."""
     if a._end is None:
-        a._end = _spin_hom(a.p, a.generators(), a.generators(), _seed_space(a, a))
+        a._end = _hom(a, a)
     return a._end
 
 
@@ -631,14 +596,15 @@ def is_decomposable(a: SpechtModule, seed: int = 0) -> bool:
     p = a.p
     if e == 1:
         return False  # End is the scalars; local ring
+    stack = np.stack(basis)
+
+    def element(coeffs) -> np.ndarray:
+        return np.tensordot(np.asarray(coeffs, dtype=np.int64), stack, axes=1) % p
+
     identity = np.eye(n, dtype=np.int64)
     if p**e <= ENUMERATE_BOUND:
         for coeffs in itertools.product(range(p), repeat=e):
-            theta = np.zeros((n, n), dtype=np.int64)
-            for c, mat in zip(coeffs, basis):
-                if c:
-                    theta = theta + c * mat
-            theta %= p
+            theta = element(coeffs)
             if not theta.any() or np.array_equal(theta, identity):
                 continue
             if np.array_equal(mm(theta, theta, p), theta):
@@ -646,11 +612,7 @@ def is_decomposable(a: SpechtModule, seed: int = 0) -> bool:
         return False
     rng = np.random.default_rng(seed)
     for _ in range(_SAMPLES):
-        coeffs = rng.integers(0, p, size=e)
-        theta = np.zeros((n, n), dtype=np.int64)
-        for c, mat in zip(coeffs, basis):
-            theta = theta + int(c) * mat
-        theta %= p
+        theta = element(rng.integers(0, p, size=e))
         if not theta.any():
             continue
         if rank(theta, p) == n:
@@ -660,9 +622,7 @@ def is_decomposable(a: SpechtModule, seed: int = 0) -> bool:
             power = mm(power, power, p)
         if power.any():
             return True  # stable image is a proper nonzero summand
-    raise Inconclusive(
-        f"no splitting idempotent found in {_SAMPLES} samples; End dim {e}"
-    )
+    raise Inconclusive(f"no splitting idempotent found in {_SAMPLES} samples; End dim {e}")
 
 
 def invariants_dim(a: SpechtModule) -> int:

@@ -1,19 +1,25 @@
+import functools
 import itertools
 import sys
 from dataclasses import fields
-from math import factorial
+from math import comb, factorial
 
 import numpy as np
 import pytest
 
 from twistlab import specht
 from twistlab.criteria import h0_specht_nonzero
-from twistlab.errors import NotPrime, Overflow, SizeMismatch, TooLarge, TwistlabError
+from twistlab.errors import Inconclusive, NotPrime, Overflow, SizeMismatch, TooLarge, TwistlabError
 from twistlab.gf import Echelon, mm, nullspace, rank, rref, rref_with_transform
 from twistlab.partitions import Partition, enumerate_partitions
 from twistlab.specht import (
+    _code_powers,
+    _column_relations,
+    _garnir_relations,
+    _index_of,
+    _kron_hom,
     _seed_space,
-    _spin_basis,
+    _skeleton,
     _spin_hom,
     build_specht,
     end_ring,
@@ -86,14 +92,59 @@ def _hom_pairs(p, max_degree, max_product=2500):
                     yield a, b
 
 
+@functools.cache
+def _oracle_dim(p, lam, mu):
+    return len(hom_space_direct(build_specht(lam, p), build_specht(mu, p)))
+
+
 def test_hom_dim_after_the_column_sign_cut_matches_the_kronecker_oracle():
     # the Kronecker solver imposes no cut, so a wrong sign shows up here
     checked = 0
     for p in (2, 3, 5):
         for a, b in _hom_pairs(p, 6):
-            assert hom_dim(a, b) == len(hom_space_direct(a, b)), (a, b)
+            assert hom_dim(a, b) == _oracle_dim(p, a.lam, b.lam), (a, b)
             checked += 1
     assert checked == 627
+
+
+def test_column_and_garnir_relations_leave_exactly_hom():
+    # the presentation is complete: no seed survives that is not an image of e_t
+    checked = 0
+    for p in (2, 3, 5):
+        for a, b in _hom_pairs(p, 6):
+            assert _seed_space(a, b).shape[0] == _oracle_dim(p, a.lam, b.lam), (a, b)
+            checked += 1
+    assert checked == 627
+
+
+def test_every_relation_kills_e_t_over_the_integers():
+    # (sigma v){T} = v(sigma^-1 {T}) for any permutation sigma, with no
+    # appeal to the terms being involutions
+    for d in range(1, 9):
+        for lam in enumerate_partitions(d, "all"):
+            sk = _skeleton(lam.parts)
+            n_rows, powers = _code_powers(lam.parts)
+            tabloids = sk.codes[:, None] // powers % n_rows
+            e_t = sk.b_signed[0].astype(np.int64)
+            columns = list(_column_relations(lam.parts))
+            garnir = list(_garnir_relations(lam.parts))
+            heights = lam.conjugate().parts
+            assert len(columns) == d - lam[0]
+            assert len(garnir) == d - heights[0]
+            for relation in columns + garnir:
+                total = np.zeros(sk.m, dtype=np.int64)
+                for sigma, sign in relation:
+                    # tabloids[:, sigma] puts q in the row of sigma(q): sigma^-1 {T}
+                    total += sign * e_t[_index_of(sk.codes, tabloids[:, sigma] @ powers)]
+                assert not total.any(), (lam, relation)
+
+
+def test_garnir_sums_run_over_every_coset():
+    lam = Partition((3, 3, 2, 1))
+    heights = lam.conjugate().parts
+    sizes = [len(terms) for terms in _garnir_relations(lam.parts)]
+    want = [comb(heights[j] + 1, heights[j] - i) for j in range(2) for i in range(heights[j + 1])]
+    assert sizes == want
 
 
 def _in_row_space(rows, vector, p):
@@ -120,17 +171,30 @@ def test_identity_survives_the_cut_at_odd_p(p):
 def test_column_signs_cut_the_seeds_of_a_non_hook_end_ring():
     module = build_specht(Partition((4, 3, 1, 1)), 2)
     assert module.dim == 216
-    assert _seed_space(module, module).shape[0] == 9
+    assert _seed_space(module, module).shape[0] == 2
 
 
 def test_empty_seed_space_returns_before_spinning(monkeypatch):
-    gens = build_specht(Partition((3, 1)), 3).generators()
-
     def refuse(*args):
-        raise AssertionError("spun a basis for an empty seed space")
+        raise AssertionError("built tableau moves for an empty seed space")
 
-    monkeypatch.setattr(specht, "_spin_basis", refuse)
-    assert _spin_hom(3, gens, gens, np.zeros((0, 3), dtype=np.int64)) == []
+    monkeypatch.setattr(specht, "_tableau_moves", refuse)
+    # at p = 3 the column signs already kill the trivial module; at p = 2
+    # only the Garnir sum x - x - x does
+    for p in (2, 3):
+        a, b = build_specht(Partition((2, 1)), p), build_specht(Partition((3,)), p)
+        assert hom_space(a, b) == []
+
+
+def test_hom_recheck_refuses_a_map_that_does_not_commute():
+    module = build_specht(Partition((3, 1)), 3)
+    gens = module.generators()
+    eye = np.eye(module.dim, dtype=np.int64)
+    assert len(_spin_hom(3, gens, gens, eye[None])) == 1
+    broken = eye[None].copy()
+    broken[0, 0, 1] = 1
+    with pytest.raises(AssertionError, match="equivariance recheck"):
+        _spin_hom(3, gens, gens, broken)
 
 
 def test_standard_rows_wait_for_a_hom_question():
@@ -144,47 +208,6 @@ def test_standard_rows_wait_for_a_hom_question():
             for row, entries in enumerate(tableau):
                 want[s, entries] = row
         assert np.array_equal(module._standard_rows(), want), lam
-
-
-def _one_at_a_time_spin(p, gens):
-    """Reference: spin e_0 vector by vector, testing each image on its own."""
-    n = gens[0].shape[0]
-    seed = np.zeros(n, dtype=np.int64)
-    seed[0] = 1
-    acc = Echelon(p, n)
-    acc.add(seed[None, :])
-    vecs, origin, spare, spare_img = [seed], [-1], [], []
-    i = 0
-    while i < len(vecs):
-        for g in (0, 1):
-            w = mm(vecs[i][None, :], gens[g], p)[0]
-            if len(vecs) < n and acc.add(w[None, :]):
-                vecs.append(w)
-                origin.append(2 * i + g)
-            else:
-                spare.append(2 * i + g)
-                spare_img.append(w)
-        i += 1
-    return np.array(vecs), np.array(origin), np.array(spare), np.array(spare_img)
-
-
-def test_level_spin_matches_one_at_a_time_spin():
-    cases = [
-        (lam, p) for p in (2, 3, 5) for d in range(1, 7) for lam in enumerate_partitions(d, "all")
-    ]
-    cases += [(Partition((4, 3, 1, 1)), 2), (Partition((6, 1, 1, 1)), 3)]
-    for lam, p in cases:
-        gens = build_specht(lam, p).generators()
-        got = _spin_basis(p, gens)
-        want = _one_at_a_time_spin(p, gens)
-        assert all(np.array_equal(x, y) for x, y in zip(got, want)), (lam, p)
-
-
-def test_hom_needs_a_module_generated_by_its_first_basis_vector():
-    # two copies of the trivial module: e_0 spans only the first one
-    eye = np.eye(2, dtype=np.int64)
-    with pytest.raises(TwistlabError, match="not generated by basis vector 0"):
-        _spin_hom(3, [eye, eye], [eye, eye], eye)
 
 
 @pytest.mark.parametrize("lam", [(8, 1, 1, 1), (10, 1, 1, 1)])
@@ -254,6 +277,17 @@ def test_decomposability_is_seed_independent_when_enumerating():
     assert is_decomposable(module, seed=0) == is_decomposable(module, seed=99)
 
 
+def test_sampled_elements_settle_what_enumeration_settles(monkeypatch):
+    split = build_specht(Partition((5, 1, 1)), 2)
+    local = build_specht(Partition((3, 1, 1)), 2)
+    assert is_decomposable(split) and not is_decomposable(local)
+    monkeypatch.setattr(specht, "ENUMERATE_BOUND", 1)
+    assert is_decomposable(split)
+    # samples can split a module but never prove it indecomposable
+    with pytest.raises(Inconclusive, match="End dim 2"):
+        is_decomposable(local)
+
+
 def solve_right(a, b, p):
     """One solution x of a @ x == b mod p, or raise if inconsistent."""
     arr = np.mod(np.asarray(a, dtype=np.int64), p)
@@ -299,7 +333,7 @@ def sign_dual_check(lam, p):
     twisted = [np.mod(signs[k] * a.generators()[k], p) for k in (0, 1)]
     eye = np.eye(b.dim, dtype=np.int64)
     dual = [solve_right(b.generators()[k], eye, p).T for k in (0, 1)]
-    homs = _spin_hom(p, twisted, dual, eye)  # no seed cut: the dual has no tabloids
+    homs = _kron_hom(p, twisted, dual)  # no relations: the dual has no tabloids
     if not homs:
         return False
     for f in homs:
