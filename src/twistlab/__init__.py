@@ -14,7 +14,6 @@ from .errors import (
     CongruenceViolated,
     EqualSizeRequired,
     HypothesisViolated,
-    Inconclusive,
     InvalidSymbol,
     NoInsertion,
     NonPartitionDifference,
@@ -45,7 +44,6 @@ __all__ = [
     "CongruenceViolated",
     "EqualSizeRequired",
     "HypothesisViolated",
-    "Inconclusive",
     "InvalidSymbol",
     "MullineuxSymbol",
     "NoInsertion",

@@ -16,6 +16,7 @@ import sys
 from importlib import resources
 from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
+from . import search
 from .abacus import is_p_by_p, p_core, to_abacus
 from .criteria import (
     h0_failed_row,
@@ -35,7 +36,6 @@ from .mullineux import (
 from .partitions import Partition
 from .search import _SCANS, SearchReport, _parts
 from .specht import (
-    ENUMERATE_BOUND,
     build_specht,
     end_ring,
     h0_dim,
@@ -175,12 +175,10 @@ def _cmd_specht_hom(args: argparse.Namespace) -> Payload:
 
 def _cmd_specht_decomposable(args: argparse.Namespace) -> Payload:
     module = build_specht(args.lam, args.p)
-    basis = end_ring(module)
-    method = "enumerated" if args.p ** len(basis) <= ENUMERATE_BOUND else "fitting"
     return {
         "dims": [module.dim],
-        "result": is_decomposable(module, seed=args.seed),
-        "method": method,
+        "result": is_decomposable(module),
+        "method": "enumerated",
     }, 0
 
 
@@ -194,7 +192,8 @@ def _cmd_specht_h0(args: argparse.Namespace) -> Payload:
 
 
 def _run_scan(which: str, inputs: Dict[str, Any]) -> SearchReport:
-    scan, keys = _SCANS[which]
+    name, keys = _SCANS[which]
+    scan = getattr(search, name)  # at call time, so a wrapper on the module sees it
     return scan(*(Partition(inputs[k]) if k == "lambda" else inputs[k] for k in keys))
 
 
@@ -516,7 +515,6 @@ def _build_parser() -> _Parser:
     dec = specht_sub.add_parser("decomposable", help="search for a splitting idempotent")
     dec.add_argument("--p", type=int, required=True)
     _add_lambda(dec)
-    dec.add_argument("--seed", type=int, default=0)
     _add_common(dec)
     dec.set_defaults(handler=_cmd_specht_decomposable)
 

@@ -75,15 +75,12 @@ class CongruenceViolated(TwistlabError):
 
 
 class TooLarge(TwistlabError):
-    """The request exceeds a budget: a module's dimension, a map's rim steps, p >= 2^64."""
+    """The request passes a budget: a degree, tabloids, rows, beads, a run's rim
+    or row steps, a hook's leg, End's idempotent search, or p >= 2^64."""
 
 
 class SizeMismatch(TwistlabError):
     """Array or partition sizes disagree where equality is required."""
-
-
-class Inconclusive(TwistlabError):
-    """The randomized splitting test neither found a splitting nor ruled one out."""
 
 
 # Miller-Rabin with these bases is exact below 3.18e23 (Sorenson and Webster,

@@ -77,10 +77,6 @@ def rref_with_transform(a: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray, 
     return red[:, :cols], red[:, cols:], pivots
 
 
-def rank(a: np.ndarray, p: int) -> int:
-    return len(rref(a, p)[1])
-
-
 def nullspace(a: np.ndarray, p: int) -> np.ndarray:
     """Rows spanning {x : a @ x == 0 mod p}."""
     red, piv = rref(a, p)

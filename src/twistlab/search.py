@@ -12,7 +12,8 @@ visitor takes one partition and p and returns its hits, its counterexamples
 and the number of cases it scanned: 1, or the number of mu pairs for the
 two-row Ext^1 scan.  The driver visits the family in enumeration order and
 concatenates what the visitors return.  ``_SCANS`` names every scan once,
-for the command line and the fixture checker.
+by the name of its function here, for the command line and the fixture
+checker, which look the function up each time they run it.
 
 Reports are deterministic: identical parameters yield byte-identical bodies.
 Wall-clock time lives outside the body, in :attr:`SearchReport.elapsed`.
@@ -255,13 +256,13 @@ def census(d: int, p: int) -> SearchReport:
     return _report("census", {"d": d, "p": p}, hits, (), scanned, start)
 
 
-# scan name -> (function, its arguments as input keys); the command line and
-# the fixture checker read their scans from here
-_SCANS: Dict[str, Tuple[Callable[..., SearchReport], Tuple[str, ...]]] = {
-    "fixed-points": (find_twist_commuting, ("d", "p")),
-    "persistence": (check_twist_persistence, ("d", "p")),
-    "p-image": (find_p_image, ("d", "p")),
-    "multi-twist": (multi_twist_scan, ("lambda", "p", "max_b")),
-    "ks-stability": (ks_stability_scan, ("d", "p")),
-    "census": (census, ("d", "p")),
+# scan name -> (name of its function in this module, its arguments as input
+# keys); the command line and the fixture checker read their scans from here
+_SCANS: Dict[str, Tuple[str, Tuple[str, ...]]] = {
+    "fixed-points": ("find_twist_commuting", ("d", "p")),
+    "persistence": ("check_twist_persistence", ("d", "p")),
+    "p-image": ("find_p_image", ("d", "p")),
+    "multi-twist": ("multi_twist_scan", ("lambda", "p", "max_b")),
+    "ks-stability": ("ks_stability_scan", ("d", "p")),
+    "census": ("census", ("d", "p")),
 }

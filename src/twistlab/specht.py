@@ -34,7 +34,10 @@ every characteristic (James, LNM 682, sections 7-8).  So the images of e_t
 under the maps S^a -> S^b are the x in S^b that every relation kills, found
 by index lookups into the tabloid codes, and each map is read off its x
 with one gather, as e_s = pi_s e_t.  A direct Kronecker-product solver,
-which knows no relations, is kept alongside as the oracle.
+which knows no relations, is kept alongside as the oracle.  A map of End is
+fixed by its first row too, so End multiplies as those rows do, and whether
+S^lambda splits is decided exactly, within a budget on the work, by a search
+for idempotents in End's e-dimensional regular representation.
 
 build_specht refuses degree 63 and up, and a permutation module of more
 than DEFAULT_MAX_DIM tabloids, with TooLarge.  The TWISTLAB_MAX_DIM
@@ -53,8 +56,8 @@ from typing import Callable, Iterator, Optional
 
 import numpy as np
 
-from .errors import Inconclusive, Overflow, SizeMismatch, TooLarge, TwistlabError, check_prime
-from .gf import Echelon, mm, nullspace, rank, rref_with_transform
+from .errors import Overflow, SizeMismatch, TooLarge, TwistlabError, check_prime
+from .gf import Echelon, mm, nullspace, rref_with_transform
 from .partitions import Partition
 
 DEFAULT_MAX_DIM = 100_000
@@ -67,10 +70,9 @@ _MAX_DEGREE = 62
 _SKELETON_CACHE_BYTES = 64 * 2**20
 # the basis holds residues mod p as int8
 _MAX_PRIME = 127
-# is_decomposable tests every element of End when p**dim(End) is at most
-# ENUMERATE_BOUND, and otherwise this many random elements
-ENUMERATE_BOUND = 2**20
-_SAMPLES = 64
+# is_decomposable tests p**e elements of an e-dimensional End, e**3 steps
+# each, and refuses past this many steps (about 0.6 s at worst)
+_IDEMPOTENT_WORK = 2**27
 
 
 def _check_degree(lam: Partition) -> None:
@@ -582,47 +584,49 @@ def end_ring(a: SpechtModule) -> list[np.ndarray]:
     return a._end
 
 
-def is_decomposable(a: SpechtModule, seed: int = 0) -> bool:
-    """Does S^lambda split?  Exact when the End algebra is small.
+def is_decomposable(a: SpechtModule) -> bool:
+    """Does S^lambda split, that is, has End an idempotent other than 0 and 1?
 
-    With p**dim(End) within ENUMERATE_BOUND every element of End is tested for
-    being a nontrivial idempotent, which decides the question outright.
-    Otherwise random elements are tried: one that is neither nilpotent nor
-    invertible splits the module; if no sample settles it, Inconclusive.
+    Each B_i of the End basis is fixed by row 0, its image of e_t, so B_i B_j
+    is fixed by B_i[0] @ B_j: one rref of the e x n first rows gives the
+    structure constants, rechecked against those products.  All p^e
+    coefficient vectors x are then tested for x^2 = x in chunks, about e^3
+    steps each; past _IDEMPOTENT_WORK steps the search raises TooLarge.  A
+    hit theta = sum x_i B_i is certified by theta @ theta == theta on the
+    module; a failed recheck or certificate raises AssertionError.
     """
     basis = end_ring(a)
-    e = len(basis)
-    n = a.dim
-    p = a.p
+    e, n, p = len(basis), a.dim, a.p
     if e == 1:
         return False  # End is the scalars; local ring
+    size = p**e
+    if size * e**3 > _IDEMPOTENT_WORK:
+        raise TooLarge(
+            f"End({a.lam}) at p = {p} has dimension {e}: {p}^{e} idempotent tests of "
+            f"{e}^3 steps pass the budget of {_IDEMPOTENT_WORK}"
+        )
     stack = np.stack(basis)
-
-    def element(coeffs) -> np.ndarray:
-        return np.tensordot(np.asarray(coeffs, dtype=np.int64), stack, axes=1) % p
-
-    identity = np.eye(n, dtype=np.int64)
-    if p**e <= ENUMERATE_BOUND:
-        for coeffs in itertools.product(range(p), repeat=e):
-            theta = element(coeffs)
-            if not theta.any() or np.array_equal(theta, identity):
-                continue
-            if np.array_equal(mm(theta, theta, p), theta):
-                return True
-        return False
-    rng = np.random.default_rng(seed)
-    for _ in range(_SAMPLES):
-        theta = element(rng.integers(0, p, size=e))
-        if not theta.any():
-            continue
-        if rank(theta, p) == n:
-            continue
-        power = theta
-        for _ in range(max(1, n.bit_length())):
-            power = mm(power, power, p)
-        if power.any():
-            return True  # stable image is a proper nonzero summand
-    raise Inconclusive(f"no splitting idempotent found in {_SAMPLES} samples; End dim {e}")
+    firsts = stack[:, 0]
+    # row i * e + j is B_i[0] @ B_j, the first row of B_i B_j; the last is the identity's
+    products = mm(firsts, stack.transpose(1, 0, 2).reshape(n, e * n), p).reshape(e * e, n)
+    wanted = np.vstack([products, np.eye(1, n, dtype=np.int64)])
+    _, transform, piv = rref_with_transform(firsts, p)
+    coeffs = mm(wanted[:, piv], transform[: len(piv)], p)
+    if len(piv) != e or not np.array_equal(mm(coeffs, firsts, p), wanted):
+        raise AssertionError(f"End({a.lam}) does not multiply as its first rows do")
+    consts, one = coeffs[:-1], coeffs[-1]
+    places = p ** np.arange(e, dtype=np.int64)
+    step = max(1, 2**16 // e**2)  # 2**16 pair products per chunk
+    for start in range(0, size, step):
+        x = np.arange(start, min(start + step, size), dtype=np.int64)[:, None] // places % p
+        pairs = np.mod(x[:, :, None] * x[:, None, :], p).reshape(len(x), e * e)
+        hits = (mm(pairs, consts, p) == x).all(1) & x.any(1) & (x != one).any(1)
+        if hits.any():
+            theta = np.tensordot(x[hits.argmax()], stack, axes=1) % p
+            if not np.array_equal(mm(theta, theta, p), theta):
+                raise AssertionError(f"idempotent of End({a.lam}) fails on the module")
+            return True
+    return False
 
 
 def invariants_dim(a: SpechtModule) -> int:

@@ -2,7 +2,13 @@ import random
 
 from hypothesis import strategies as st
 
+from twistlab.gf import rref
 from twistlab.partitions import Partition
+
+
+def rank(a, p):
+    """Rank of a matrix over GF(p): the number of pivots of its reduced form."""
+    return len(rref(a, p)[1])
 
 
 @st.composite

@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import partitions
-from twistlab import errors
+from twistlab import cli, errors, search, specht
 from twistlab.cli import main
 
 
@@ -266,6 +266,29 @@ def test_specht_subcommands(capsys):
 
     code, out, _ = run_cli(capsys, "specht", "h0", "--p", "3", "--lambda", "2,2")
     assert json.loads(out)["result"] == 1
+
+
+def test_decomposable_past_the_idempotent_budget_exits_one(capsys, monkeypatch):
+    monkeypatch.setattr(specht, "_IDEMPOTENT_WORK", 1)
+    code, out, err = run_cli(capsys, "specht", "decomposable", "--p", "2", "--lambda", "5,1,1")
+    assert (code, out) == (1, "")
+    assert err.startswith("TooLarge: ")
+
+
+def test_scans_are_looked_up_when_they_run(capsys, monkeypatch):
+    calls = []
+    real = search.census
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(search, "census", spy)
+    code, _, _ = run_cli(capsys, "search", "census", "--p", "3", "--d", "4")
+    fixture = {"kind": "search", "inputs": {"search": "census", "d": 5, "p": 2},
+               "expected": {"counterexamples": 0}}
+    assert code == 0 and cli._eval_fixture(fixture) == {"counterexamples": 0}
+    assert calls == [(4, 3), (5, 2)]
 
 
 def test_specht_h0_answers_thin_shapes_through_the_conjugate(capsys):

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import rank
 from twistlab.errors import Overflow
-from twistlab.gf import Echelon, mm, nullspace, rank, rref, rref_with_transform
+from twistlab.gf import Echelon, mm, nullspace, rref, rref_with_transform
 
 
 def random_matrix(rng, rows, cols, p):

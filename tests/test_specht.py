@@ -7,10 +7,11 @@ from math import comb, factorial
 import numpy as np
 import pytest
 
+from conftest import rank
 from twistlab import specht
 from twistlab.criteria import h0_specht_nonzero
-from twistlab.errors import Inconclusive, NotPrime, Overflow, SizeMismatch, TooLarge, TwistlabError
-from twistlab.gf import Echelon, mm, nullspace, rank, rref, rref_with_transform
+from twistlab.errors import NotPrime, Overflow, SizeMismatch, TooLarge, TwistlabError
+from twistlab.gf import Echelon, mm, nullspace, rref, rref_with_transform
 from twistlab.partitions import Partition, enumerate_partitions
 from twistlab.specht import (
     _code_powers,
@@ -272,20 +273,56 @@ def test_small_decomposability_calls():
     assert not is_decomposable(build_specht(Partition((3, 1)), 2))
 
 
-def test_decomposability_is_seed_independent_when_enumerating():
+def _split_by_enumeration(module):
+    """Oracle: every element of End, as an n x n matrix, tested for a nontrivial idempotent."""
+    p, stack = module.p, np.stack(end_ring(module))
+    identity = np.eye(module.dim, dtype=np.int64)
+    for coeffs in itertools.product(range(p), repeat=len(stack)):
+        theta = np.tensordot(np.array(coeffs, dtype=np.int64), stack, axes=1) % p
+        if theta.any() and not np.array_equal(theta, identity):
+            if np.array_equal(mm(theta, theta, p), theta):
+                return True
+    return False
+
+
+def _splitting_cases():
+    for p, top in ((2, 8), (3, 7), (5, 7)):
+        for d in range(1, top + 1):
+            for lam in enumerate_partitions(d, "all"):
+                yield lam, p
+    yield Partition((5, 1, 1, 1, 1)), 2
+
+
+def test_regular_representation_search_matches_the_matrix_enumeration():
+    dims = {}
+    for lam, p in _splitting_cases():
+        module = build_specht(lam, p)
+        e = len(end_ring(module))
+        assert is_decomposable(module) == _split_by_enumeration(module), (lam, p)
+        dims.setdefault(p, set()).add(e)
+    # End(S^lambda) is the scalars at odd p (James, LNM 682, Cor. 13.17)
+    assert dims[3] == dims[5] == {1}
+    assert dims[2] == {1, 2, 3}
+
+
+def test_idempotent_search_past_its_budget_is_refused(monkeypatch):
     module = build_specht(Partition((5, 1, 1)), 2)
-    assert is_decomposable(module, seed=0) == is_decomposable(module, seed=99)
+    monkeypatch.setattr(specht, "_IDEMPOTENT_WORK", 2**2 * 2**3)  # p^e e^3 with e = 2
+    assert is_decomposable(module)
+    monkeypatch.setattr(specht, "_IDEMPOTENT_WORK", 2**2 * 2**3 - 1)
+    with pytest.raises(TooLarge, match="idempotent"):
+        is_decomposable(module)
+    # a one-dimensional End needs no search
+    assert not is_decomposable(build_specht(Partition((3, 1)), 2))
 
 
-def test_sampled_elements_settle_what_enumeration_settles(monkeypatch):
-    split = build_specht(Partition((5, 1, 1)), 2)
-    local = build_specht(Partition((3, 1, 1)), 2)
-    assert is_decomposable(split) and not is_decomposable(local)
-    monkeypatch.setattr(specht, "ENUMERATE_BOUND", 1)
-    assert is_decomposable(split)
-    # samples can split a module but never prove it indecomposable
-    with pytest.raises(Inconclusive, match="End dim 2"):
-        is_decomposable(local)
+def test_a_corrupted_end_basis_fails_the_structure_recheck():
+    module = build_specht(Partition((4, 3, 1, 1)), 2)
+    first, second = end_ring(module)
+    # row 0 kept, so only the products B_i[0] @ B_j can tell
+    module._end = [first, np.vstack([second[:1], np.roll(second[1:], 1, axis=0)])]
+    with pytest.raises(AssertionError, match="multiply"):
+        is_decomposable(module)
 
 
 def solve_right(a, b, p):
