@@ -31,7 +31,6 @@ from .mullineux import (
     mullineux_map,
     mullineux_symbol,
     tau,
-    verify_hat_identity,
 )
 from .partitions import Partition
 from .search import _SCANS, SearchReport, _parts
@@ -101,13 +100,14 @@ def _cmd_tau(args: argparse.Namespace) -> Payload:
 
 def _cmd_hat(args: argparse.Namespace) -> Payload:
     hatted = args.lam.hat(args.p)
+    image, expected = mullineux_map(hatted, args.p), args.lam.scale(args.p - 1)
     return {
         "p": args.p,
         "lambda": _parts(args.lam),
         "hat": _parts(hatted),
-        "mullineux_of_hat": _parts(mullineux_map(hatted, args.p)),
-        "expected": _parts(args.lam.scale(args.p - 1)),
-        "holds": verify_hat_identity(args.lam, args.p),
+        "mullineux_of_hat": _parts(image),
+        "expected": _parts(expected),
+        "holds": image == expected,
     }, 0
 
 
@@ -331,7 +331,7 @@ def _cmd_verify(args: argparse.Namespace) -> Payload:
     if args.file is not None:
         try:
             text = open(args.file, encoding="utf-8").read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise TwistlabError(str(exc))
     else:
         text = resources.files("twistlab").joinpath("data/fixtures.json").read_text("utf-8")

@@ -9,13 +9,13 @@ Mullineux involution m on p-regular partitions.
 
 A symbol is stored as its maximal runs (a, r, count) of equal columns; the
 symbol of p^b * lam has a few runs, each about p^b columns long.  Removal and
-insertion walk a run with one engine, `_cycle_jump`: single steps record
+insertion walk every run with one walker, `_walk_run`: single steps record
 their strip profiles, and once the latest profiles repeat with some period
 the state moves by whole cycles in one arithmetic step, checked by stripping
 its first and last cycle.  Insertion (the inverse of one removal) is one
 pass up the rows: read from the bottom row up, the rim forces how many nodes
-each row gets, and the one candidate is stripped back before it is returned,
-so a wrong reconstruction cannot escape quietly.
+each row gets, and that growth is stripped back before it is returned, so a
+wrong reconstruction cannot escape quietly.
 """
 
 from __future__ import annotations
@@ -108,7 +108,7 @@ def _cycle_strips_back(state: tuple[int, ...], cyc: list, p: int) -> bool:
     """Does stripping one rim per entry of cyc, in order, peel state by exactly cyc?"""
     cur = list(state)
     for c in cyc:
-        if _rim_profile(tuple(cur), p) != list(c):
+        if _rim_profile(tuple(cur), p) != c:
             return False
         for t, ct in enumerate(c):
             cur[t] -= ct
@@ -116,34 +116,32 @@ def _cycle_strips_back(state: tuple[int, ...], cyc: list, p: int) -> bool:
 
 
 def _cycle_jump(
-    state: tuple[int, ...], history: list, p: int, left: Optional[int] = None
+    state: tuple[int, ...], history: list, p: int, left: int, sign: int
 ) -> Optional[tuple[tuple[int, ...], int]]:
     """Move state by whole cycles of the period of history: (state, steps), or None.
 
-    history holds the strip profiles of the run's latest single steps, oldest
-    first.  Stripping passes left=None; insertion passes the number of steps
-    its run has left.  The argument is in `_rebuild_run`.
+    history holds the profiles of the run's latest single steps, oldest
+    first; sign is -1 when they were strips and +1 when they were
+    insertions.  At most left steps are made.  The argument is in `_walk_run`.
     """
-    for q in range(1, min(len(state) * p, len(history) // 2) + 1):
-        if history[-1] != history[-1 - q]:
+    for q in range(1, len(history) // 2 + 1):
+        if history[-1] != history[-1 - q] or history[-2 * q : -q] != history[-q:]:
             continue
         cyc = history[-q:]
-        if history[-2 * q : -q] != cyc:
-            continue
-        total = [sum(rows) for rows in zip(*cyc)]
-        if left is None:  # cycle j strips state - (j-1)*total, oldest profile first
-            k = min((x - 1) // t for x, t in zip(state, total))  # rows stay positive
-            strips, step, first = cyc, [-t for t in total], state
-        else:  # cycle j builds state + j*total, which strips back newest first
-            k = left // q
-            strips, step, first = cyc[::-1], total, tuple(x + t for x, t in zip(state, total))
+        step = [sign * sum(rows) for rows in zip(*cyc)]
+        # at most left steps, and no shrinking row reaches zero
+        k = min([left // q] + [(x - 1) // -t for x, t in zip(state, step) if t < 0])
+        # cycle j strips back from its larger end, state + (j-1)*step when the
+        # run strips (oldest profile first), state + j*step when it inserts
+        first = tuple(x + max(t, 0) for x, t in zip(state, step))
+        strips = cyc[::-sign]
         if k < 2 or not _cycle_strips_back(first, strips, p):
             continue
         while k > 1 and not _cycle_strips_back(
-            tuple(x + (k - 1) * s for x, s in zip(first, step)), strips, p
+            tuple(x + (k - 1) * t for x, t in zip(first, step)), strips, p
         ):
             k //= 2
-        return tuple(x + k * s for x, s in zip(state, step)), k * q
+        return tuple(x + k * t for x, t in zip(state, step)), k * q
     return None
 
 
@@ -162,6 +160,69 @@ def _count_step(singles: int, a: int, r: int) -> int:
     return singles + 1
 
 
+def _walk_run(
+    state: tuple[int, ...], a: int, r: int, p: int, left: Optional[int] = None, counts=None
+) -> tuple[tuple[int, ...], int, Optional[list[int]]]:
+    """Walk one run of the column (a; r) from state: (state, steps, counts).
+
+    Given left, insert exactly left rims.  Otherwise strip while the rims
+    keep the column; counts is state's first strip profile if already read,
+    and the profile read that ends the run comes back (None if a row ran out).
+
+    Single steps record their strip profiles (an insertion's is the growth
+    it lays down), newest last, keeping the latest 2*r*p.  `_cycle_jump`
+    takes, smallest first, each period q <= r*p whose last two q-blocks of
+    profiles agree, and predicts that the cycle cyc (the last q profiles,
+    summing to total) repeats.  The first cycle ahead must strip through
+    cyc, and then k cycles are made in one arithmetic step, k halved until
+    the last cycle also strips through cyc.  Insertion takes k <= left // q,
+    so a jump never passes the end of the run; stripping takes the largest k
+    that keeps every row positive, so the run's last strips are single ones.
+    The cap r*p, set by the trim, is a search limit, not a theorem.  When no
+    period passes, one single step is made, and a run that makes more than
+    _MAX_RUN_STEPS single steps (its transient and any period longer than
+    the cap walked one step at a time), or whose single steps times its r
+    rows pass _MAX_RUN_ROW_STEPS (each costs O(r)), raises TooLarge, so the
+    time a map takes stays bounded.
+
+    Checking the first and the last cycle suffices.  After j cycles the
+    state is the start plus or minus j*total; within a cycle each strip
+    keeps its profile while, row by row, a full-budget row still has at
+    least the budget available and a short row has exactly its count
+    available (counts are at least 1, so the rows stay positive and weakly
+    decreasing).  With the profiles fixed each of these is a linear
+    (in)equality in j, so it holds for every j between two values at which
+    it holds.  Stripping is a function, so the stripped states are the ones
+    single strips reach.  Rim insertion is unique (the upward pass in
+    `insert_p_rim` forces every row count), so a state that strips back
+    through the cycle is the state that single insertions would have built.
+    """
+    grow = left is not None
+    left = left if grow else state[-1]  # a strip takes a node or more off the bottom row
+    history: list[list[int]] = []
+    done = singles = 0
+    while done < left and (grow or len(state) == r):
+        jump = len(history) > 1 and _cycle_jump(state, history, p, left - done, 1 if grow else -1)
+        if jump:
+            state, steps = jump
+            done += steps
+            continue
+        if not grow:
+            counts = counts or _rim_profile(state, p)
+            if sum(counts) != a:
+                break
+        singles = _count_step(singles, a, r)
+        if grow:
+            state, step = _insert_raw(state, a, r, p)
+        else:
+            step, counts = counts, None
+            state = tuple(row - c for row, c in zip(state, step) if row > c)
+        history.append(step)
+        del history[: -2 * r * p]
+        done += 1
+    return state, done, counts
+
+
 def remove_p_rim(lam: Partition, p: int) -> tuple[Partition, int]:
     """Strip the p-rim; returns the remainder and the number of nodes removed."""
     if not lam:
@@ -173,36 +234,20 @@ def remove_p_rim(lam: Partition, p: int) -> tuple[Partition, int]:
 def mullineux_symbol(lam: Partition, p: int) -> MullineuxSymbol:
     """Iterate p-rim removal to the empty partition, recording runs (a, r, count).
 
-    Strips go one at a time until their profiles repeat; from then on
-    `_cycle_jump` removes whole periods at once, so the work per run does not
-    grow with its length, and huge scaled partitions stay cheap.
+    Each run's column is read off its first strip, and `_walk_run` strips
+    whole periods of the run at once, so the work per run does not grow
+    with its length, and huge scaled partitions stay cheap.
     """
     check_prime(p)
     if not lam.is_p_regular(p):
         raise NotPRegular(f"{lam} is not {p}-regular")
     runs: list[tuple[int, int, int]] = []
-    history: list[list[int]] = []
-    singles = 0
-    parts = lam.parts
+    parts, counts = lam.parts, None
     while parts:
-        jump = len(history) > 1 and _cycle_jump(parts, history, p)
-        if jump:
-            parts, steps = jump
-            a, r, count = runs[-1]
-            runs[-1] = (a, r, count + steps)
-            continue
-        counts = _rim_profile(parts, p)
+        counts = counts or _rim_profile(parts, p)
         a, r = sum(counts), len(parts)
-        if runs and runs[-1][:2] == (a, r):
-            runs[-1] = (a, r, runs[-1][2] + 1)
-        else:
-            runs.append((a, r, 1))
-            history = []
-            singles = 0
-        singles = _count_step(singles, a, r)
-        history.append(counts)
-        del history[: -2 * r * p]
-        parts = tuple(row - c for row, c in zip(parts, counts) if row > c)
+        parts, count, counts = _walk_run(parts, a, r, p, counts=counts)
+        runs.append((a, r, count))
     return MullineuxSymbol(p, tuple(runs))
 
 
@@ -218,7 +263,8 @@ def transform_symbol(sym: MullineuxSymbol) -> MullineuxSymbol:
     return MullineuxSymbol(p, runs)
 
 
-def _insert_raw(mu: tuple[int, ...], a: int, r: int, p: int) -> tuple[int, ...]:
+def _insert_raw(mu: tuple[int, ...], a: int, r: int, p: int) -> tuple[tuple[int, ...], list[int]]:
+    """Insert one p-rim of a nodes over r rows into mu: (nu, the growth of each row)."""
     if a < 1 or r < 1:
         raise NoInsertion(f"rim size {a} and row count {r} must be positive")
     if len(mu) > r:
@@ -227,20 +273,22 @@ def _insert_raw(mu: tuple[int, ...], a: int, r: int, p: int) -> tuple[int, ...]:
         raise NoInsertion(f"a {p}-rim over {r} rows holds between {r} and {r * p} nodes")
 
     row_of = list(mu) + [0] * (r - len(mu))
-    nu = row_of[:]
+    growth = [0] * r
     left = a - p * ((a - 1) // p)  # the bottom segment; every other one holds p
     for j in range(r - 1, 0, -1):
         gap = row_of[j - 1] - row_of[j] + 1
         if left > gap:  # row j continues a segment that starts higher up
-            nu[j] += gap
+            growth[j] = gap
             left -= gap
         else:  # row j starts its segment, and the segment above is full
-            nu[j] += left
+            growth[j] = left
             left = p
-    nu[0] += left
-    if any(x < y for x, y in zip(nu, nu[1:])) or _strip_raw(tuple(nu), p) != (mu, a):
+    growth[0] = left
+    nu = tuple(x + g for x, g in zip(row_of, growth))
+    # every growth is positive, so a matching strip also makes nu a partition
+    if sum(growth) != a or not _cycle_strips_back(nu, [growth], p):
         raise NoInsertion(f"no partition with {r} rows yields rim size {a} under {p}-rim removal")
-    return tuple(nu)
+    return nu, growth
 
 
 def insert_p_rim(mu: Partition, a: int, r: int, p: int) -> Partition:
@@ -258,69 +306,19 @@ def insert_p_rim(mu: Partition, a: int, r: int, p: int) -> Partition:
     The one candidate is then stripped back; NoInsertion is raised when it
     is not a partition or does not strip to (mu, a).
     """
-    return Partition(_insert_raw(mu.parts, a, r, p))
-
-
-def _rebuild_run(nu: tuple[int, ...], a: int, r: int, p: int, run: int) -> tuple[int, ...]:
-    """Apply `run` consecutive insertions of the same column (a, r).
-
-    Single insertions record their strip profiles (the per-row growth),
-    newest last, keeping the latest 2*r*p of them; stripping a run keeps the
-    same history in `mullineux_symbol`.  `_cycle_jump` takes, smallest
-    first, each period q <= r*p whose last two q-blocks of profiles agree,
-    and predicts that the cycle cyc (the last q profiles, summing to total)
-    repeats.  The first cycle ahead must strip through cyc, and then k
-    cycles are made in one arithmetic step, k halved until the last cycle
-    also strips through cyc.  Insertion takes k <= left // q, so a jump never
-    passes the end of the run; stripping takes the largest k that keeps
-    every row positive, so the run's last strips are single ones.  The cap
-    r*p is a search limit, not a theorem.  When no period passes, one single
-    step is made, and a run that makes more than _MAX_RUN_STEPS single steps
-    (its transient and any period longer than the cap walked one step at a
-    time), or whose single steps times its r rows pass _MAX_RUN_ROW_STEPS
-    (each single step costs O(r)), raises TooLarge, in stripping as in
-    insertion, so the time a map takes stays bounded.
-
-    Checking the first and the last cycle suffices.  After j cycles the
-    state is the start plus or minus j*total; within a cycle each strip
-    keeps its profile while, row by row, a full-budget row still has at
-    least the budget available and a short row has exactly its count
-    available (counts are at least 1, so the rows stay positive and weakly
-    decreasing).  With the profiles fixed each of these is a linear
-    (in)equality in j, so it holds for every j between two values at which
-    it holds.  Stripping is a function, so the stripped states are the ones
-    single strips reach.  Rim insertion is unique (the upward pass in
-    `insert_p_rim` forces every row count), so a state that strips back
-    through the cycle is the state that single insertions would have built.
-    """
-    done = singles = 0
-    history: list[tuple[int, ...]] = []
-    while done < run:
-        jump = len(history) > 1 and _cycle_jump(nu, history, p, run - done)
-        if jump:
-            nu, steps = jump
-            done += steps
-            continue
-        singles = _count_step(singles, a, r)
-        prev = nu
-        nu = _insert_raw(nu, a, r, p)
-        done += 1
-        history.append(tuple(nu[t] - (prev[t] if t < len(prev) else 0) for t in range(r)))
-        del history[: -2 * r * p]
-    return nu
+    return Partition(_insert_raw(mu.parts, a, r, p)[0])
 
 
 def reconstruct_from_symbol(sym: MullineuxSymbol) -> Partition:
     """Run the removal iteration backwards, last run first.
 
-    Each run goes to `_rebuild_run`, which makes single insertions until
-    their profiles repeat and then adds whole periods in one jump, so the
-    insertions a run needs depend on its transient and its period, not on
-    its length.
+    `_walk_run` inserts each run, one rim at a time until the growth repeats
+    and whole periods at once from then on, so the insertions a run needs
+    depend on its transient and its period, not on its length.
     """
     nu: tuple[int, ...] = ()
     for a, r, count in reversed(sym.runs):
-        nu = _rebuild_run(nu, a, r, sym.p, count)
+        nu = _walk_run(nu, a, r, sym.p, count)[0]
     return Partition(nu)
 
 

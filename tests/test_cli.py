@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import partitions
-from twistlab import cli, errors, search, specht
+from twistlab import cli, errors, mullineux, search, specht
 from twistlab.cli import main
 
 
@@ -228,6 +228,31 @@ def test_hat_and_symbol_commands(capsys):
     assert json.loads(out) == {"p": 5, "lambda": [15, 15], "a": [5] * 6, "r": [2] * 6}
 
 
+def test_hat_maps_the_hat_once(capsys, monkeypatch):
+    # the image m(hat lam) decides "holds" as well; a second map is waste
+    maps = []
+    mullineux_map = mullineux.mullineux_map
+
+    def counting(lam, p):
+        maps.append(lam)
+        return mullineux_map(lam, p)
+
+    monkeypatch.setattr(cli, "mullineux_map", counting)
+    monkeypatch.setattr(mullineux, "mullineux_map", counting)
+    code, out, _ = run_cli(capsys, "hat", "--p", "3", "--lambda", "4,2,1")
+    assert code == 0
+    assert len(maps) == 1
+    payload = {
+        "p": 3,
+        "lambda": [4, 2, 1],
+        "hat": [4, 4, 2, 2, 1, 1],
+        "mullineux_of_hat": [8, 4, 2],
+        "expected": [8, 4, 2],
+        "holds": True,
+    }
+    assert out == json.dumps(payload, indent=2) + "\n"
+
+
 def test_abacus_picture_goes_to_stderr(capsys):
     code, out, err = run_cli(capsys, "abacus", "--p", "3", "--lambda", "4,2,1")
     assert code == 0
@@ -388,6 +413,15 @@ def test_verify_flags_a_tampered_value(tmp_path, capsys):
     assert code == 1
     assert json.loads(out)["failed"] == ["tau-tampered"]
     assert "FAIL tau-tampered" in err
+
+
+def test_verify_rejects_a_file_that_is_not_utf8(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'[{"id": "caf\xe9"}]\xff')
+    code, out, err = run_cli(capsys, "verify", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("TwistlabError: ") and "utf-8" in err
 
 
 def test_verify_reports_parse_errors_with_line_numbers(tmp_path, capsys):

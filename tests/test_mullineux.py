@@ -396,9 +396,9 @@ def test_run_jumps_match_single_insertions(monkeypatch):
         sym = mullineux_module.transform_symbol(mullineux_symbol(big, p))
         nu = ()
         for (a, r), run in symbol_runs(sym):
-            jumped = mullineux_module._rebuild_run(nu, a, r, p, run)
+            jumped = mullineux_module._walk_run(nu, a, r, p, run)[0]
             for _ in range(run):
-                nu = mullineux_module._insert_raw(nu, a, r, p)
+                nu, _ = mullineux_module._insert_raw(nu, a, r, p)
             assert jumped == nu, (lam, p, b, (a, r), run)
         assert Partition(nu) == mullineux_map(big, p)
     # the 7^3 map has a period-60 run; jumps over periods above 3 must be covered
@@ -422,6 +422,8 @@ def test_deep_twist_jumps_whole_periods(monkeypatch):
     assert image.size == big.size
     assert image.is_p_regular(7)
     assert len(calls) < 2000
+    # the period jumps leave 578 single insertions; more means a jump was lost
+    assert len(calls) <= 578
 
 
 def single_strip_columns(lam, p):
@@ -477,6 +479,8 @@ def test_deep_twist_strips_whole_periods(monkeypatch):
     assert len(sym.runs) == 8
     assert sum(count for _, _, count in sym.runs) == 139258
     assert len(calls) < 2000
+    # single strips and jump checks read 239 profiles when the walker was written
+    assert len(calls) <= 239
 
 
 def test_columns_match_single_strips_exhaustive():
@@ -495,17 +499,17 @@ def test_slow_cycles_stop_at_the_step_cap(monkeypatch):
     # profiles repeat only with a period near p^2; walked one step at a time,
     # the scan at p = 199 ran for over ten minutes
     per_run = []
-    rebuild_run, insert_raw = mullineux_module._rebuild_run, mullineux_module._insert_raw
+    walk_run, insert_raw = mullineux_module._walk_run, mullineux_module._insert_raw
 
-    def run_counted(*args):
+    def run_counted(*args, **kwargs):
         per_run.append(0)
-        return rebuild_run(*args)
+        return walk_run(*args, **kwargs)
 
     def counting(*args):
         per_run[-1] += 1
         return insert_raw(*args)
 
-    monkeypatch.setattr(mullineux_module, "_rebuild_run", run_counted)
+    monkeypatch.setattr(mullineux_module, "_walk_run", run_counted)
     monkeypatch.setattr(mullineux_module, "_insert_raw", counting)
     cap = mullineux_module._MAX_RUN_STEPS
     for p in (37, 101, 199):
@@ -528,7 +532,47 @@ def test_row_step_budget_counts_single_steps_times_rows(monkeypatch):
         tau(10**4, 1009)
 
 
-def test_slow_cycle_image_is_unchanged():
+def test_slow_cycle_image_is_unchanged(monkeypatch):
     # one run of this map makes 2,737 single insertions, under the step cap
+    inserts, profiles = [], []
+    insert_raw, rim_profile = mullineux_module._insert_raw, mullineux_module._rim_profile
+
+    def counting_insert(*args):
+        inserts.append(args[1])
+        return insert_raw(*args)
+
+    def counting_profile(*args):
+        profiles.append(len(args[0]))
+        return rim_profile(*args)
+
+    monkeypatch.setattr(mullineux_module, "_insert_raw", counting_insert)
+    monkeypatch.setattr(mullineux_module, "_rim_profile", counting_profile)
+    big = Partition((2, 1, 1)).scale(37**3)
+    assert len(mullineux_symbol(big, 37).columns) == 2739
+    # stripping jumps over the runs after reading 11 profiles
+    assert len(profiles) <= 11
     image = (2897,) * 8 + (2896,) + (2895,) * 26 + (2814,) * 2 + (2813,) * 34
-    assert mullineux_map(Partition((2, 1, 1)).scale(37**3), 37).parts == image
+    assert mullineux_map(big, 37).parts == image
+    # the insertions of the other runs jump: 2,739 single insertions in all
+    assert len(inserts) <= 2739
+
+
+def test_stripping_keeps_both_run_budgets(monkeypatch):
+    # stripping 7^3 * lam takes 2,842 strips, most of them in jumps, which
+    # neither budget counts; the run of the column (28; 8) makes the most
+    # single strips, 28 of them, and so the most row steps, 28 * 8 = 224
+    big = REPEATED_TWIST_SHAPE.scale(7**3)
+    sym = mullineux_symbol(big, 7)
+    assert len(sym.columns) == 2842
+    step_cap = mullineux_module._MAX_RUN_STEPS
+    monkeypatch.setattr(mullineux_module, "_MAX_RUN_STEPS", 28)
+    assert mullineux_symbol(big, 7) == sym
+    monkeypatch.setattr(mullineux_module, "_MAX_RUN_STEPS", 27)
+    with pytest.raises(TooLarge, match=r"\(28;8\) takes over 27 single rim steps"):
+        mullineux_symbol(big, 7)
+    monkeypatch.setattr(mullineux_module, "_MAX_RUN_STEPS", step_cap)
+    monkeypatch.setattr(mullineux_module, "_MAX_RUN_ROW_STEPS", 28 * 8)
+    assert mullineux_symbol(big, 7) == sym
+    monkeypatch.setattr(mullineux_module, "_MAX_RUN_ROW_STEPS", 28 * 8 - 1)
+    with pytest.raises(TooLarge, match=r"\(28;8\) takes over 27 single steps of 8 rows"):
+        mullineux_symbol(big, 7)
