@@ -14,18 +14,13 @@ from dataclasses import dataclass
 from math import ceil
 from typing import Optional
 
-from .errors import HypothesisViolated, TooFewBeads, TooLarge
+from .errors import HypothesisViolated, TooFewBeads, TooLarge, check_modulus
 from .partitions import Partition, enumerate_partitions
 
 # to_abacus refuses more beads than this; each bead costs a Python object
 _MAX_BEADS = 100_000
 # picture() draws at most this many levels and this many runners
 _PICTURE_SIDE = 200
-
-
-def _check_runners(p: int) -> None:
-    if p < 2:
-        raise HypothesisViolated("p must be at least 2")
 
 
 @dataclass(frozen=True)
@@ -36,7 +31,7 @@ class AbacusDisplay:
     beta: tuple[int, ...]
 
     def __post_init__(self):
-        _check_runners(self.p)
+        check_modulus(self.p)
         if any(b < 0 for b in self.beta):
             raise HypothesisViolated("beta-numbers must be nonnegative")
         if any(x <= y for x, y in zip(self.beta, self.beta[1:])):
@@ -89,7 +84,7 @@ def default_beads(lam: Partition, p: int) -> int:
     runner pictures come out canonical (every runner the same length).  When
     that multiple would pass _MAX_BEADS, the length itself (at least 1).
     """
-    _check_runners(p)
+    check_modulus(p)
     rows = max(len(lam), 1)
     rounded = p * ceil(rows / p)
     return rounded if rounded <= _MAX_BEADS else rows

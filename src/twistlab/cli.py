@@ -4,6 +4,9 @@ Machine-readable results go to stdout, pictures and per-fixture progress go
 to stderr, so output can be piped or written with ``--out``.  Exit codes:
 0 success, 1 domain or computation error, 2 a scan surfaced a
 counterexample, 64 bad usage.
+
+One table, ``_COMMANDS``, declares every command, the ``search`` scans
+generated from ``_SCANS``; one loop builds the parser from it.
 """
 
 from __future__ import annotations
@@ -30,7 +33,9 @@ from .mullineux import (
     MullineuxSymbol,
     mullineux_map,
     mullineux_symbol,
+    reconstruct_from_symbol,
     tau,
+    transform_symbol,
 )
 from .partitions import Partition
 from .search import _SCANS, SearchReport, _parts
@@ -46,6 +51,7 @@ from .specht import (
 USAGE_ERROR = 64
 
 Payload = Tuple[Any, int]
+Handler = Callable[[argparse.Namespace], Payload]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -83,14 +89,15 @@ def _symbol_rows(sym: MullineuxSymbol) -> Dict[str, list]:
 
 
 def _cmd_mull(args: argparse.Namespace) -> Payload:
-    image = mullineux_map(args.lam, args.p)
+    # the map strips lambda into its symbol; strip once and map from it
+    sym = mullineux_symbol(args.lam, args.p)
     payload: Dict[str, Any] = {
         "p": args.p,
         "input": _parts(args.lam),
-        "mullineux": _parts(image),
+        "mullineux": _parts(reconstruct_from_symbol(transform_symbol(sym))),
     }
     if args.show_symbol:
-        payload["symbol"] = _symbol_rows(mullineux_symbol(args.lam, args.p))
+        payload["symbol"] = _symbol_rows(sym)
     return payload, 0
 
 
@@ -419,129 +426,90 @@ def _render_table(payload: Any) -> str:
 
 
 def _emit(payload: Any, args: argparse.Namespace) -> None:
-    fmt = getattr(args, "format", "json")
-    if fmt == "csv":
+    if args.format == "csv":
         text = _render_csv(payload)
-    elif fmt == "table":
+    elif args.format == "table":
         text = _render_table(payload)
     else:
         body = payload.to_dict() if isinstance(payload, SearchReport) else payload
         text = json.dumps(body, indent=2) + "\n"
-    out = getattr(args, "out", None)
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    if args.out:
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise TwistlabError(f"cannot write --out: {exc}")
     else:
         sys.stdout.write(text)
 
 
 # ---------------------------------------------------------------- parser
 
-
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--format", choices=("json", "csv", "table"), default="json")
-    sub.add_argument("--out", metavar="FILE", default=None)
-
-
-def _add_lambda(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--lambda", dest="lam", type=_partition, required=True, metavar="PARTS")
+_INT = {"type": int, "required": True}
+_PARTS = {"type": _partition, "required": True, "metavar": "PARTS"}
+# argument key -> (flag, add_argument keywords); a key of _SCANS names the same input
+_ARGS: Dict[str, Tuple[str, Dict[str, Any]]] = {
+    "p": ("--p", _INT),
+    "n": ("--n", _INT),
+    "d": ("--d", _INT),
+    "r": ("--r", _INT),
+    "lambda": ("--lambda", {**_PARTS, "dest": "lam"}),
+    "lam": ("--lam", _PARTS),
+    "mu": ("--mu", _PARTS),
+    "max_b": ("--max-b", _INT),
+    "beads": ("--beads", {"type": int, "default": None}),
+    "show_symbol": ("--show-symbol", {"action": "store_true"}),
+    "file": ("file", {"nargs": "?", "default": None}),
+}
+# command, or "group member" -> (help, handler, argument keys in --help order)
+_COMMANDS: Dict[str, Tuple[Optional[str], Handler, Tuple[str, ...]]] = {
+    "mull": ("apply the regular-label involution", _cmd_mull, ("p", "lambda", "show_symbol")),
+    "tau": ("label of the trivial module", _cmd_tau, ("p", "n")),
+    "hat": ("check m(hat) = (p-1)*lambda for distinct parts", _cmd_hat, ("p", "lambda")),
+    "symbol": ("rim-removal symbol columns", _cmd_symbol, ("p", "lambda")),
+    "abacus": ("bead display, core, and weight", _cmd_abacus, ("p", "lambda", "beads")),
+    "ks-ext": ("two-row Ext criterion with digit witness", _cmd_ks_ext, ("p", "lam", "mu")),
+    "murphy": ("hook endomorphisms and summands at p=2", _cmd_murphy, ("d", "r")),
+    "h0": ("fixed-point congruence test", _cmd_h0, ("p", "lambda")),
+    "specht hom": ("dimension of the hom space", _cmd_specht_hom, ("p", "lam", "mu")),
+    "specht decomposable": (
+        "search for a splitting idempotent", _cmd_specht_decomposable, ("p", "lambda")
+    ),
+    "specht h0": ("dimension of the fixed-point space", _cmd_specht_h0, ("p", "lambda")),
+    # --p first, then the scan's other inputs in _SCANS order
+    **{
+        f"search {name}": (None, _cmd_search, ("p", *(k for k in keys if k != "p")))
+        for name, (_, keys) in _SCANS.items()
+    },
+    "verify": ("re-run the packaged fixture set", _cmd_verify, ("file",)),
+}
+# group -> (help, dest of the member's name, metavar)
+_GROUPS = {
+    "specht": ("linear-algebra oracles", "specht_command", "WHAT"),
+    "search": ("exhaustive scans with audited reports", "which", "SCAN"),
+}
 
 
 def _build_parser() -> _Parser:
-    parser = _Parser(prog="twistlab", description=__doc__)
-    commands = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
-
-    mull = commands.add_parser("mull", help="apply the regular-label involution")
-    mull.add_argument("--p", type=int, required=True)
-    _add_lambda(mull)
-    mull.add_argument("--show-symbol", action="store_true")
-    _add_common(mull)
-    mull.set_defaults(handler=_cmd_mull)
-
-    tau_cmd = commands.add_parser("tau", help="label of the trivial module")
-    tau_cmd.add_argument("--p", type=int, required=True)
-    tau_cmd.add_argument("--n", type=int, required=True)
-    _add_common(tau_cmd)
-    tau_cmd.set_defaults(handler=_cmd_tau)
-
-    hat = commands.add_parser("hat", help="check m(hat) = (p-1)*lambda for distinct parts")
-    hat.add_argument("--p", type=int, required=True)
-    _add_lambda(hat)
-    _add_common(hat)
-    hat.set_defaults(handler=_cmd_hat)
-
-    symbol = commands.add_parser("symbol", help="rim-removal symbol columns")
-    symbol.add_argument("--p", type=int, required=True)
-    _add_lambda(symbol)
-    _add_common(symbol)
-    symbol.set_defaults(handler=_cmd_symbol)
-
-    abacus = commands.add_parser("abacus", help="bead display, core, and weight")
-    abacus.add_argument("--p", type=int, required=True)
-    _add_lambda(abacus)
-    abacus.add_argument("--beads", type=int, default=None)
-    _add_common(abacus)
-    abacus.set_defaults(handler=_cmd_abacus)
-
-    ks = commands.add_parser("ks-ext", help="two-row Ext criterion with digit witness")
-    ks.add_argument("--p", type=int, required=True)
-    ks.add_argument("--lam", type=_partition, required=True, metavar="PARTS")
-    ks.add_argument("--mu", type=_partition, required=True, metavar="PARTS")
-    _add_common(ks)
-    ks.set_defaults(handler=_cmd_ks_ext)
-
-    murphy = commands.add_parser("murphy", help="hook endomorphisms and summands at p=2")
-    murphy.add_argument("--d", type=int, required=True)
-    murphy.add_argument("--r", type=int, required=True)
-    _add_common(murphy)
-    murphy.set_defaults(handler=_cmd_murphy)
-
-    h0 = commands.add_parser("h0", help="fixed-point congruence test")
-    h0.add_argument("--p", type=int, required=True)
-    _add_lambda(h0)
-    _add_common(h0)
-    h0.set_defaults(handler=_cmd_h0)
-
-    specht = commands.add_parser("specht", help="linear-algebra oracles")
-    specht_sub = specht.add_subparsers(dest="specht_command", required=True, metavar="WHAT")
-
-    hom = specht_sub.add_parser("hom", help="dimension of the hom space")
-    hom.add_argument("--p", type=int, required=True)
-    hom.add_argument("--lam", type=_partition, required=True, metavar="PARTS")
-    hom.add_argument("--mu", type=_partition, required=True, metavar="PARTS")
-    _add_common(hom)
-    hom.set_defaults(handler=_cmd_specht_hom)
-
-    dec = specht_sub.add_parser("decomposable", help="search for a splitting idempotent")
-    dec.add_argument("--p", type=int, required=True)
-    _add_lambda(dec)
-    _add_common(dec)
-    dec.set_defaults(handler=_cmd_specht_decomposable)
-
-    sh0 = specht_sub.add_parser("h0", help="dimension of the fixed-point space")
-    sh0.add_argument("--p", type=int, required=True)
-    _add_lambda(sh0)
-    _add_common(sh0)
-    sh0.set_defaults(handler=_cmd_specht_h0)
-
-    search = commands.add_parser("search", help="exhaustive scans with audited reports")
-    search_sub = search.add_subparsers(dest="which", required=True, metavar="SCAN")
-    for name, (_, keys) in _SCANS.items():
-        scan = search_sub.add_parser(name)
-        scan.add_argument("--p", type=int, required=True)
-        if "d" in keys:
-            scan.add_argument("--d", type=int, required=True)
-        if "lambda" in keys:
-            _add_lambda(scan)
-            scan.add_argument("--max-b", dest="max_b", type=int, required=True)
-        _add_common(scan)
-        scan.set_defaults(handler=_cmd_search, which=name)
-
-    verify = commands.add_parser("verify", help="re-run the packaged fixture set")
-    verify.add_argument("file", nargs="?", default=None)
-    _add_common(verify)
-    verify.set_defaults(handler=_cmd_verify)
-
+    # --help shows the docstring without its last paragraph, which is about the source
+    parser = _Parser(prog="twistlab", description=__doc__ and __doc__.rsplit("\n\n", 1)[0])
+    # group -> its subparsers, "" for the top level; a group is added with its first member
+    subparsers = {"": parser.add_subparsers(dest="command", required=True, metavar="COMMAND")}
+    for name, (help_text, handler, keys) in _COMMANDS.items():
+        group, _, leaf = name.rpartition(" ")
+        if group not in subparsers:
+            group_help, dest, metavar = _GROUPS[group]
+            subparsers[group] = subparsers[""].add_parser(group, help=group_help).add_subparsers(
+                dest=dest, required=True, metavar=metavar
+            )
+        # a scan has no help line: argparse would list it with an empty one
+        sub = subparsers[group].add_parser(leaf, **({"help": help_text} if help_text else {}))
+        for key in keys:
+            flag, options = _ARGS[key]
+            sub.add_argument(flag, **options)
+        sub.add_argument("--format", choices=("json", "csv", "table"), default="json")
+        sub.add_argument("--out", metavar="FILE", default=None)
+        sub.set_defaults(handler=handler)
     return parser
 
 
@@ -549,13 +517,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         payload, code = args.handler(args)
+        _emit(payload, args)
     except TwistlabError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    _emit(payload, args)
     return code
 
 

@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and its one prime check.
+"""Exception types shared across the package, its one prime check and its one modulus check.
 
 Everything raised on purpose derives from :class:`TwistlabError`, so callers
 (and the CLI) can distinguish domain errors from genuine bugs with a single
@@ -81,6 +81,12 @@ class TooLarge(TwistlabError):
 
 class SizeMismatch(TwistlabError):
     """Array or partition sizes disagree where equality is required."""
+
+
+def check_modulus(p: int) -> None:
+    """Raise HypothesisViolated unless p >= 2: runners, p-regularity and base-p levels need it."""
+    if p < 2:
+        raise HypothesisViolated("p must be at least 2")
 
 
 # Miller-Rabin with these bases is exact below 3.18e23 (Sorenson and Webster,

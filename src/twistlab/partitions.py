@@ -17,6 +17,7 @@ from .errors import (
     NotDistinctParts,
     Overflow,
     TooLarge,
+    check_modulus,
 )
 
 _PART_MAX = 2**63 - 1
@@ -106,8 +107,7 @@ class Partition:
 
     def is_p_regular(self, p: int) -> bool:
         """True when no part value repeats p or more times."""
-        if p < 2:
-            raise HypothesisViolated("p must be at least 2")
+        check_modulus(p)
         run = 0
         prev = None
         for part in self._parts:
@@ -119,8 +119,7 @@ class Partition:
 
     def is_p_restricted(self, p: int) -> bool:
         """True when successive differences (and the last part) are below p."""
-        if p < 2:
-            raise HypothesisViolated("p must be at least 2")
+        check_modulus(p)
         for i, part in enumerate(self._parts):
             nxt = self.part(i + 1)
             if part - nxt >= p:
@@ -187,8 +186,7 @@ def l_p(t: int, p: int) -> int:
     """Least l with t < p**l."""
     if t < 0:
         raise HypothesisViolated("t must be nonnegative")
-    if p < 2:
-        raise HypothesisViolated("p must be at least 2")
+    check_modulus(p)
     level = 0
     power = 1
     while t >= power:
@@ -215,8 +213,7 @@ def enumerate_partitions(
     if kind == "p_regular":
         if p is None:
             raise HypothesisViolated("p_regular enumeration needs p")
-        if p < 2:
-            raise HypothesisViolated("p must be at least 2")
+        check_modulus(p)
 
     if kind == "two_part":
         for v in range(d, (d - 1) // 2, -1):

@@ -41,8 +41,9 @@ for idempotents in End's e-dimensional regular representation.
 
 build_specht refuses degree 63 and up, and a permutation module of more
 than DEFAULT_MAX_DIM tabloids, with TooLarge.  The TWISTLAB_MAX_DIM
-environment variable is the one override of the second budget, for a run
-that genuinely needs a module with millions of tabloids.
+environment variable, a non-negative integer, is the one override of the
+second budget, for a run that genuinely needs a module with millions of
+tabloids.
 """
 
 from __future__ import annotations
@@ -388,6 +389,8 @@ def build_specht(lam: Partition, p: int) -> SpechtModule:
         raise Overflow(f"residues mod {p} do not fit the int8 basis (p <= {_MAX_PRIME})")
     _check_degree(lam)
     env = os.environ.get("TWISTLAB_MAX_DIM")
+    if env and not (env.isascii() and env.isdigit()):
+        raise TwistlabError(f"TWISTLAB_MAX_DIM must be a non-negative integer, not {env!r}")
     limit = int(env) if env else DEFAULT_MAX_DIM
     m = perm_module_dim(lam)
     if m > limit:

@@ -27,11 +27,23 @@ def test_mull_example(capsys):
     assert json.loads(out)["mullineux"] == [10, 10, 10]
 
 
-def test_mull_with_symbol(capsys):
+def test_mull_with_symbol(capsys, monkeypatch):
+    # the map is read off the symbol the payload shows; a second strip is waste
+    strips = []
+    mullineux_symbol = mullineux.mullineux_symbol
+
+    def counting(lam, p):
+        strips.append(lam)
+        return mullineux_symbol(lam, p)
+
+    monkeypatch.setattr(cli, "mullineux_symbol", counting)
+    monkeypatch.setattr(mullineux, "mullineux_symbol", counting)
     code, out, _ = run_cli(capsys, "mull", "--p", "5", "--lambda", "15,15", "--show-symbol")
-    payload = json.loads(out)
     assert code == 0
-    assert payload["symbol"] == {"a": [5] * 6, "r": [2] * 6}
+    assert len(strips) == 1
+    payload = {"p": 5, "input": [15, 15], "mullineux": [10, 10, 10],
+               "symbol": {"a": [5] * 6, "r": [2] * 6}}
+    assert out == json.dumps(payload, indent=2) + "\n"
 
 
 def test_tau_prints_a_bare_array(capsys):
@@ -78,6 +90,8 @@ def test_bad_primes_exit_one(capsys, argv, error):
         ("search multi-twist --p 5 --lambda 2,1 --max-b 1", "HypothesisViolated"),
         ("search multi-twist --p 0 --lambda 2,1 --max-b 2", "NotPrime"),
         ("search multi-twist --p -2 --lambda 2,1 --max-b 3", "NotPrime"),
+        ("tau --p 3 --n 5 --out no-such-directory/x.json", "TwistlabError"),
+        ("tau --p 3 --n 5 --out .", "TwistlabError"),
     ],
 )
 def test_bad_inputs_name_a_twistlab_error(capsys, argv, error):
@@ -215,6 +229,40 @@ def test_unknown_subcommand_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as info:
         main(["frobnicate"])
     assert info.value.code == 64
+
+
+# one value for each argument key of cli._ARGS that a command can require
+_MINIMAL = {"p": "3", "n": "5", "d": "4", "r": "2", "lambda": "2,1", "lam": "2,1",
+            "mu": "2,1", "max_b": "2"}
+
+
+def _minimal_argv(name, keys):
+    argv = name.split()
+    for key in keys:
+        if key in _MINIMAL:
+            argv += ["--" + key.replace("_", "-"), _MINIMAL[key]]
+    return argv
+
+
+@pytest.mark.parametrize("name", list(cli._COMMANDS))
+def test_every_declared_command_reaches_its_handler(name):
+    _, handler, keys = cli._COMMANDS[name]
+    args = cli._build_parser().parse_args(_minimal_argv(name, keys))
+    assert args.handler is handler
+
+
+@pytest.mark.parametrize("which", list(search._SCANS))
+def test_each_scan_requires_exactly_its_inputs(capsys, which):
+    keys = search._SCANS[which][1]
+    argv = _minimal_argv(f"search {which}", keys)
+    assert len(argv) == 2 + 2 * len(keys)  # a flag for every input the scan reads
+    code, out, _ = run_cli(capsys, *argv)
+    assert code in (0, 2) and json.loads(out)["search"] == which
+    for i in range(2, len(argv), 2):
+        with pytest.raises(SystemExit) as info:
+            main(argv[:i] + argv[i + 2:])
+        assert info.value.code == 64
+        assert f"the following arguments are required: {argv[i]}" in capsys.readouterr().err
 
 
 def test_hat_and_symbol_commands(capsys):

@@ -641,3 +641,8 @@ def test_dimension_cap_env_override(monkeypatch):
         build_specht(Partition((4, 3, 2, 1)), 2)
     monkeypatch.setenv("TWISTLAB_MAX_DIM", "100000")
     assert build_specht(Partition((4, 3, 2, 1)), 2).dim == 768
+    # anything but a non-negative integer is refused by name, not read as a limit
+    for bad in ("abc", "-5", "1.5", " 10"):
+        monkeypatch.setenv("TWISTLAB_MAX_DIM", bad)
+        with pytest.raises(TwistlabError, match="TWISTLAB_MAX_DIM must be a non-negative integer"):
+            build_specht(Partition((2, 1)), 2)
