@@ -6,13 +6,14 @@ to stderr, so output can be piped or written with ``--out``.  Exit codes:
 counterexample, 64 bad usage.
 
 One table, ``_COMMANDS``, declares every command, the ``search`` scans
-generated from ``_SCANS``; one loop builds the parser from it.
+generated from ``_SCANS``; one loop builds the parser, once per process.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -490,6 +491,7 @@ _GROUPS = {
 }
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> _Parser:
     # --help shows the docstring without its last paragraph, which is about the source
     parser = _Parser(prog="twistlab", description=__doc__ and __doc__.rsplit("\n\n", 1)[0])

@@ -9,9 +9,11 @@ because every accumulated sum is at most inner * (p-1)^2 in absolute value
 and stays below the mantissa (Overflow otherwise).  The exact float product
 is cast to int64 and reduced there by integer remainder, in place: numpy's
 float remainder costs several times the GEMM itself on tall products.
-Elimination writes into an int64 working copy anyway; it reduces that copy
-once, and again after each pivot.  Matrices are plain 2-d ndarrays; the
-helpers never mutate their arguments.
+Matrices are plain 2-d ndarrays; the helpers never mutate their arguments.
+
+Elimination has one path, Echelon: a head of at most 128 rows is reduced
+column by column in an int64 copy, and one mm clears its pivots from the
+other rows.  rref and nullspace are thin fronts over it.
 """
 
 from __future__ import annotations
@@ -40,63 +42,18 @@ def mm(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
 
 
 def rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form and pivot columns."""
-    r = np.array(a, dtype=np.int64)
-    np.mod(r, p, out=r)
-    rows, cols = r.shape
-    pivots: list[int] = []
-    lead = 0
-    for c in range(cols):
-        if lead == rows:
-            break
-        sub = r[lead:, c]
-        nz = np.nonzero(sub)[0]
-        if nz.size == 0:
-            continue
-        i = lead + int(nz[0])
-        if i != lead:
-            r[[lead, i]] = r[[i, lead]]
-        inv = pow(int(r[lead, c]), p - 2, p)
-        if inv != 1:
-            r[lead] = np.mod(r[lead] * inv, p)
-        col = r[:, c].copy()
-        col[lead] = 0
-        hit = np.nonzero(col)[0]
-        if hit.size:
-            r[hit] = np.mod(r[hit] - np.outer(col[hit], r[lead]), p)
-        pivots.append(c)
-        lead += 1
-    return r, pivots
-
-
-def rref_with_transform(a: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray, list[int]]:
-    """rref plus the invertible T with T @ a == rref mod p."""
+    """Reduced row echelon form, zero rows kept, and pivot columns."""
     rows, cols = np.shape(a)
-    red, piv = rref(np.hstack([a, np.eye(rows, dtype=np.int64)]), p)
-    pivots = [c for c in piv if c < cols]
-    return red[:, :cols], red[:, cols:], pivots
+    ech = Echelon(p, cols)
+    ech.add(a)
+    return np.vstack([ech.basis, np.zeros((rows - ech.rank, cols), dtype=np.int64)]), ech.pivots
 
 
 def nullspace(a: np.ndarray, p: int) -> np.ndarray:
     """Rows spanning {x : a @ x == 0 mod p}."""
-    red, piv = rref(a, p)
-    return _free_column_kernel(red, piv, p)
-
-
-def _free_column_kernel(red: np.ndarray, piv: list[int], p: int) -> np.ndarray:
-    """Kernel basis of a reduced echelon matrix: one row per free column.
-
-    Row k puts 1 on the k-th free column f and -red[i, f] on pivot column
-    piv[i]; rows of red past len(piv) are ignored.
-    """
-    cols = red.shape[1]
-    is_free = np.ones(cols, dtype=bool)
-    is_free[piv] = False
-    free = np.flatnonzero(is_free)
-    basis = np.zeros((free.size, cols), dtype=np.int64)
-    basis[np.arange(free.size), free] = 1
-    basis[:, piv] = np.mod(-red[: len(piv)][:, free].T, p)
-    return basis
+    ech = Echelon(p, np.shape(a)[1])
+    ech.add(a)
+    return ech.kernel()
 
 
 class Echelon:
@@ -127,26 +84,50 @@ class Echelon:
     def add(self, batch: np.ndarray) -> int:
         """Absorb new rows; returns how many were independent."""
         added = 0
-        # with no rows stored there is nothing to project; rref reduces the head
+        # with no rows stored there is nothing to project; the panel reduces the head
         w = self.reduce(batch) if self.pivots else np.asarray(batch)
         w = w[np.any(w, axis=1)]
         while w.shape[0]:
-            # eliminate a small head exactly, then BLAS-clean the rest
+            # w is zero on every stored pivot: eliminate a small head, BLAS-clean the rest
             head, w = w[:128], w[128:]
-            red, piv = rref(head, self.p)
-            added += self._absorb(red[: len(piv)], piv)
+            red, piv = self._panel(head)
+            added += self._absorb(red, piv)
             if w.shape[0]:
-                w = self.reduce(w)
+                w = np.mod(w - mm(w[:, piv], red, self.p), self.p)
                 w = w[np.any(w, axis=1)]
         return added
 
+    def _panel(self, head: np.ndarray) -> tuple[np.ndarray, list[int]]:
+        """Reduced echelon rows of a head of nonzero rows, and their pivot columns."""
+        p = self.p
+        r = np.mod(head, p, dtype=np.int64)
+        pivots: list[int] = []
+        lead = 0
+        for c in range(r.shape[1]):
+            if lead == len(r):
+                break
+            nz = np.nonzero(r[lead:, c])[0]
+            if nz.size == 0:
+                continue
+            i = lead + int(nz[0])
+            if i != lead:
+                r[[lead, i]] = r[[i, lead]]
+            inv = pow(int(r[lead, c]), p - 2, p)
+            if inv != 1:
+                r[lead] = np.mod(r[lead] * inv, p)
+            col = r[:, c].copy()
+            col[lead] = 0
+            hit = np.nonzero(col)[0]
+            if hit.size:
+                r[hit] = np.mod(r[hit] - np.outer(col[hit], r[lead]), p)
+            pivots.append(c)
+            lead += 1
+        return r[:lead], pivots
+
     def _absorb(self, red: np.ndarray, piv: list[int]) -> int:
-        if not piv:
-            return 0
-        if self.pivots:
-            coeff = self.basis[:, piv]
-            if np.any(coeff):
-                self.basis = np.mod(self.basis - mm(coeff, red, self.p), self.p)
+        coeff = self.basis[:, piv]
+        if np.any(coeff):
+            self.basis = np.mod(self.basis - mm(coeff, red, self.p), self.p)
         merged = np.vstack([self.basis, red])
         order = np.argsort(self.pivots + piv, kind="stable")
         self.basis = merged[order]
@@ -157,6 +138,13 @@ class Echelon:
         """Rows spanning {x : x has zero product with every stored row}.
 
         The stored rows are constraints c with x @ c^T == 0; equivalently the
-        nullspace of the basis matrix acting on column vectors.
+        nullspace of the basis matrix acting on column vectors.  Row k puts 1
+        on the k-th free column f and -basis[i, f] on pivot column pivots[i].
         """
-        return _free_column_kernel(self.basis, self.pivots, self.p)
+        is_free = np.ones(self.cols, dtype=bool)
+        is_free[self.pivots] = False
+        free = np.flatnonzero(is_free)
+        kern = np.zeros((free.size, self.cols), dtype=np.int64)
+        kern[np.arange(free.size), free] = 1
+        kern[:, self.pivots] = np.mod(-self.basis[:, free].T, self.p)
+        return kern

@@ -16,7 +16,7 @@ Coordinates in B need only the dim x dim block of B on the tabloids {t} of
 the standard tableaux t.  {t} is the dominance-largest tabloid of e_t
 (James, LNM 682, section 8) and the tableaux are listed in an order that
 extends dominance, so the block is upper unitriangular over Z, invertible
-mod every p, and row-reduces with almost no fill.  The combinatorial layer
+mod every p, and inverted by back-substitution.  The combinatorial layer
 (tabloid codes, generator actions, B over Z) does not depend on p and is
 cached up to a fixed number of bytes.
 
@@ -58,7 +58,7 @@ from typing import Callable, Iterator, Optional
 import numpy as np
 
 from .errors import Overflow, SizeMismatch, TooLarge, TwistlabError, check_prime
-from .gf import Echelon, mm, nullspace, rref_with_transform
+from .gf import Echelon, mm, nullspace, rref
 from .partitions import Partition
 
 DEFAULT_MAX_DIM = 100_000
@@ -330,11 +330,20 @@ class SpechtModule:
         return c, np.array_equal(mm(c, self.basis, self.p), vectors)
 
     def _std_block_inverse(self) -> np.ndarray:
-        """Inverse of the unitriangular block basis[:, std], built on first use."""
+        """Inverse X of the unitriangular block U = basis[:, std], built on first use.
+
+        Filled from the bottom row: X[k] is e_k minus U[k, j] X[j] over the few
+        j > k with U[k, j] != 0, and each such X[j] is zero left of column j.
+        """
         if self._std_inverse is None:
-            _, inverse, piv = rref_with_transform(self.basis[:, self._sk.std], self.p)
-            if len(piv) != self.dim:
-                raise AssertionError(f"standard-tabloid block of {self.lam} is singular")
+            block = self.basis[:, self._sk.std]
+            if np.any(np.diag(block) != 1) or np.tril(block, -1).any():
+                raise AssertionError(f"standard-tabloid block of {self.lam} is not unitriangular")
+            inverse = np.eye(self.dim, dtype=np.int64)
+            for k in range(self.dim - 2, -1, -1):
+                later = k + 1 + np.flatnonzero(block[k, k + 1 :])
+                terms = block[k, later].astype(np.int64) @ inverse[later, k + 1 :]
+                inverse[k, k + 1 :] = np.mod(-terms, self.p)
             self._std_inverse = inverse
         return self._std_inverse
 
@@ -591,8 +600,9 @@ def is_decomposable(a: SpechtModule) -> bool:
     """Does S^lambda split, that is, has End an idempotent other than 0 and 1?
 
     Each B_i of the End basis is fixed by row 0, its image of e_t, so B_i B_j
-    is fixed by B_i[0] @ B_j: one rref of the e x n first rows gives the
-    structure constants, rechecked against those products.  All p^e
+    is fixed by B_i[0] @ B_j: with F the e x n first rows and W those
+    products, one rref of [F^T | W^T] solves c @ F == W for the structure
+    constants c, rechecked exactly.  All p^e
     coefficient vectors x are then tested for x^2 = x in chunks, about e^3
     steps each; past _IDEMPOTENT_WORK steps the search raises TooLarge.  A
     hit theta = sum x_i B_i is certified by theta @ theta == theta on the
@@ -613,9 +623,9 @@ def is_decomposable(a: SpechtModule) -> bool:
     # row i * e + j is B_i[0] @ B_j, the first row of B_i B_j; the last is the identity's
     products = mm(firsts, stack.transpose(1, 0, 2).reshape(n, e * n), p).reshape(e * e, n)
     wanted = np.vstack([products, np.eye(1, n, dtype=np.int64)])
-    _, transform, piv = rref_with_transform(firsts, p)
-    coeffs = mm(wanted[:, piv], transform[: len(piv)], p)
-    if len(piv) != e or not np.array_equal(mm(coeffs, firsts, p), wanted):
+    red, piv = rref(np.hstack([firsts.T, wanted.T]), p)
+    coeffs = red[:e, e:].T
+    if piv[:e] != list(range(e)) or not np.array_equal(mm(coeffs, firsts, p), wanted):
         raise AssertionError(f"End({a.lam}) does not multiply as its first rows do")
     consts, one = coeffs[:-1], coeffs[-1]
     places = p ** np.arange(e, dtype=np.int64)

@@ -251,6 +251,34 @@ def test_every_declared_command_reaches_its_handler(name):
     assert args.handler is handler
 
 
+def test_main_builds_the_parser_once_per_process(capsys, monkeypatch):
+    built = []
+    init = cli._Parser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counting)
+    cli._build_parser.cache_clear()
+    for _ in range(2):
+        assert run_cli(capsys, "tau", "--p", "3", "--n", "5")[0] == 0
+    assert built.count("twistlab") == 1
+
+
+@pytest.mark.parametrize("argv", [[], ["specht"], ["search", "census"], ["mull"]])
+def test_help_from_the_shared_parser_matches_a_fresh_build(capsys, argv):
+    outs = []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as info:
+            main(argv + ["--help"])
+        assert info.value.code == 0
+        outs.append(capsys.readouterr().out)
+    with pytest.raises(SystemExit):
+        cli._build_parser.__wrapped__().parse_args(argv + ["--help"])
+    assert outs[0] == outs[1] == capsys.readouterr().out
+
+
 @pytest.mark.parametrize("which", list(search._SCANS))
 def test_each_scan_requires_exactly_its_inputs(capsys, which):
     keys = search._SCANS[which][1]

@@ -7,11 +7,11 @@ from math import comb, factorial
 import numpy as np
 import pytest
 
-from conftest import rank
+from conftest import rank, rref_with_transform
 from twistlab import specht
 from twistlab.criteria import h0_specht_nonzero
 from twistlab.errors import NotPrime, Overflow, SizeMismatch, TooLarge, TwistlabError
-from twistlab.gf import Echelon, mm, nullspace, rref, rref_with_transform
+from twistlab.gf import Echelon, mm, nullspace, rref
 from twistlab.partitions import Partition, enumerate_partitions
 from twistlab.specht import (
     _code_powers,
@@ -323,6 +323,10 @@ def test_a_corrupted_end_basis_fails_the_structure_recheck():
     module._end = [first, np.vstack([second[:1], np.roll(second[1:], 1, axis=0)])]
     with pytest.raises(AssertionError, match="multiply"):
         is_decomposable(module)
+    # a dependent basis solves every product too, but its constants are not unique
+    module._end = [np.eye(module.dim, dtype=np.int64)] * 2
+    with pytest.raises(AssertionError, match="multiply"):
+        is_decomposable(module)
 
 
 def solve_right(a, b, p):
@@ -546,15 +550,35 @@ def test_std_block_generators_match_full_basis_elimination():
                     assert np.array_equal(gen, want), (lam, p, k)
 
 
+def _check_std_block(module):
+    """The block is unitriangular and its back-substituted inverse is the oracle's."""
+    lam, p = module.lam, module.p
+    block = module.basis[:, module._sk.std]
+    assert np.all(np.diag(block) == 1), (lam, p)
+    assert np.array_equal(np.triu(block), block), (lam, p)
+    _, trans, piv = rref_with_transform(block, p)
+    assert len(piv) == module.dim, (lam, p)
+    inverse = module._std_block_inverse()
+    assert inverse.dtype == np.int64 and np.array_equal(inverse, trans), (lam, p)
+
+
 def test_standard_tabloid_block_is_unitriangular():
     for d in range(1, 9):
         for lam in enumerate_partitions(d, "all"):
             for p in (2, 3, 5):
-                module = build_specht(lam, p)
-                block = module.basis[:, module._sk.std]
-                assert np.all(np.diag(block) == 1), (lam, p)
-                assert np.array_equal(np.triu(block), block), (lam, p)
-                assert rank(block, p) == module.dim, (lam, p)
+                _check_std_block(build_specht(lam, p))
+
+
+def test_std_block_inverse_of_a_large_block_matches_the_oracle():
+    _check_std_block(build_specht(Partition((6, 3, 3)), 3))
+
+
+@pytest.mark.parametrize("row, col, value", [(1, 0, 1), (0, 0, 2), (2, 2, 0)])
+def test_std_block_inverse_refuses_a_block_that_is_not_unitriangular(row, col, value):
+    module = build_specht(Partition((3, 2)), 3)
+    module.basis[row, module._sk.std[col]] = value
+    with pytest.raises(AssertionError, match="not unitriangular"):
+        module._std_block_inverse()
 
 
 def test_coords_rejects_a_row_outside_the_module():
