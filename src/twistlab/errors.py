@@ -76,7 +76,8 @@ class CongruenceViolated(TwistlabError):
 
 class TooLarge(TwistlabError):
     """The request passes a budget: a degree, tabloids, rows, beads, a run's rim
-    or row steps, a hook's leg, End's idempotent search, or p >= 2^64."""
+    or row steps, a hook's leg, End's idempotent search, a scan's cases, a
+    symbol's written-out columns, or p >= 2^64."""
 
 
 class SizeMismatch(TwistlabError):

@@ -44,6 +44,9 @@ _MAX_RUN_STEPS = 5_000
 # answered runs are about 1.9 million (tau(2 * 10**6, 100003): 19 steps of
 # 100,002 rows) and 0.2 million (37^3 (2,1,1): 2,737 steps of 71 rows)
 _MAX_RUN_ROW_STEPS = 2_000_000
+# columns a symbol may write out, one tuple each: criterion 4's symbol has
+# 139,258; a million take about 1.5 s and 14 MB of JSON on the command line
+_MAX_SYMBOL_COLUMNS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -67,7 +70,13 @@ class MullineuxSymbol:
 
     @property
     def columns(self) -> tuple[tuple[int, int], ...]:
-        """Every column (a_i, r_i), each run written out."""
+        """Every column (a_i, r_i), each run written out; TooLarge past _MAX_SYMBOL_COLUMNS."""
+        total = sum(n for _, _, n in self.runs)
+        if total > _MAX_SYMBOL_COLUMNS:
+            raise TooLarge(
+                f"the symbol has {total} columns in {len(self.runs)} runs, over the limit"
+                f" of {_MAX_SYMBOL_COLUMNS} written out"
+            )
         return tuple(chain.from_iterable(repeat((a, r), n) for a, r, n in self.runs))
 
     @property

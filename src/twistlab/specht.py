@@ -17,8 +17,10 @@ the standard tableaux t.  {t} is the dominance-largest tabloid of e_t
 (James, LNM 682, section 8) and the tableaux are listed in an order that
 extends dominance, so the block is upper unitriangular over Z, invertible
 mod every p, and inverted by back-substitution.  The combinatorial layer
-(tabloid codes, generator actions, B over Z) does not depend on p and is
-cached up to a fixed number of bytes.
+(tabloid codes, generator actions, standard rows, B over Z with entries in
+{-1, 0, 1}) does not depend on p.  A module is its shape's skeleton plus p:
+the GF(p) kernels read the signed B as it is, and the skeletons, read-only
+and shared at every prime, are cached up to a fixed number of bytes.
 
 M^lambda is a transitive permutation module, so its fixed vectors are the
 multiples of the all-ones vector; the fixed space of S^lambda is therefore
@@ -69,7 +71,7 @@ _MAX_DEGREE = 62
 # up to degree 10 (about 51 MB) fits, so a loop with the prime outermost
 # builds each shape once
 _SKELETON_CACHE_BYTES = 64 * 2**20
-# the basis holds residues mod p as int8
+# the generator recheck reduces gathered int8 rows of B in place: p - 1 must fit
 _MAX_PRIME = 127
 # is_decomposable tests p**e elements of an e-dimensional End, e**3 steps
 # each, and refuses past this many steps (about 0.6 s at worst)
@@ -178,16 +180,19 @@ class _Skeleton:
     m: int
     dim: int
     codes: np.ndarray  # sorted tabloid codes
-    sigma: tuple[np.ndarray, np.ndarray]  # index action of the two generators
+    moves: tuple[np.ndarray, np.ndarray]  # inverse index actions: v . g == v[:, moves[g]]
     gen_signs: tuple[int, int]
     b_signed: np.ndarray  # standard polytabloids over Z, entries in {-1,0,1}
     std: np.ndarray  # index of the tabloid {t} of each standard tableau t
+    std_rows: np.ndarray  # row of each number 0..d-1 in each standard tabloid {t}
     tableau_signs: np.ndarray  # sgn(pi_s), where pi_s takes the first tableau to s
 
-    @property
-    def nbytes(self) -> int:
-        arrays = (self.codes, *self.sigma, self.b_signed, self.std, self.tableau_signs)
-        return sum(a.nbytes for a in arrays)
+    def __post_init__(self):
+        arrays = (self.codes, *self.moves, self.b_signed, self.std, self.std_rows,
+                  self.tableau_signs)
+        for a in arrays:
+            a.flags.writeable = False  # shared by every module of the shape, at every prime
+        self.nbytes = sum(a.nbytes for a in arrays)
 
 
 def _generator_maps(d: int) -> list[np.ndarray]:
@@ -267,7 +272,7 @@ def _skeleton(parts: tuple[int, ...]) -> _Skeleton:
     m = table.shape[0]
 
     gens = np.stack(_generator_maps(d))
-    sigma = [_index_of(codes, table[:, g] @ powers) for g in gens]
+    moves = [np.argsort(_index_of(codes, table[:, g] @ powers)) for g in gens]
     signs = [int(s) for s in _perm_parity(gens)]
 
     # words[s] lists tableau s cell by cell in row-reading order; the first
@@ -284,14 +289,16 @@ def _skeleton(parts: tuple[int, ...]) -> _Skeleton:
     b_signed = np.zeros((dim, m), dtype=np.int8)
     # distinct column permutations give distinct tabloids: no sums needed
     b_signed[np.arange(dim), found] = col_signs[:, None]
+    std_rows = np.empty((dim, d), dtype=np.int8)
+    std_rows[np.arange(dim)[:, None], words] = np.repeat(np.arange(len(parts)), parts)
     return _Skeleton(
-        parts, d, m, dim, codes, (sigma[0], sigma[1]), (signs[0], signs[1]),
-        b_signed, found[0].copy(), _perm_parity(words),
+        parts, d, m, dim, codes, (moves[0], moves[1]), (signs[0], signs[1]),
+        b_signed, found[0].copy(), std_rows, _perm_parity(words),
     )
 
 
 class SpechtModule:
-    """S^lambda over GF(p): embedding matrix plus generator actions."""
+    """S^lambda over GF(p): its shape's skeleton plus p, and what it computes at p."""
 
     def __init__(self, lam: Partition, p: int, skeleton: _Skeleton):
         self.lam = lam
@@ -299,9 +306,8 @@ class SpechtModule:
         self.dim = skeleton.dim
         self.perm_dim = skeleton.m
         self._sk = skeleton
-        self.basis = np.mod(skeleton.b_signed, p, dtype=np.int8)
+        self.basis = skeleton.b_signed
         self._std_inverse: Optional[np.ndarray] = None
-        self._std_rows: Optional[np.ndarray] = None
         self._gens: Optional[list[np.ndarray]] = None
         self._end: Optional[list[np.ndarray]] = None
 
@@ -311,17 +317,17 @@ class SpechtModule:
     # -- permutation action on the tabloid coordinates ------------------
 
     def _permuted_basis(self, which: int) -> np.ndarray:
-        sigma = self._sk.sigma[which]
-        inv = np.empty_like(sigma)
-        inv[sigma] = np.arange(len(sigma), dtype=sigma.dtype)
-        return self.basis[:, inv]
+        """Generator ``which`` applied to every row of the basis, as residues mod p."""
+        moved = np.take(self.basis, self._sk.moves[which], axis=1)
+        moved += (moved >> 7) & self.p  # adds p where an entry is -1
+        return moved
 
     # -- coordinates in the polytabloid basis -----------------------------
 
     def _express(self, vectors: np.ndarray) -> tuple[np.ndarray, bool]:
         """Candidate coordinates c of the rows, and whether c @ basis gives them back.
 
-        The rows hold residues mod p, as the basis does.  c is read off the
+        The rows hold residues mod p, the basis signs.  c is read off the
         standard-tabloid columns through the inverse of the unitriangular
         block basis[:, std]; a row outside the row space still gets some c,
         which the recheck exposes.
@@ -360,24 +366,14 @@ class SpechtModule:
         return c
 
     def generators(self) -> list[np.ndarray]:
-        """Action of (1 2) and (1 2 ... d) on the polytabloid basis."""
+        """Matrices of (1 2) and (1 2 ... d) acting on the right: row i holds the
+        coordinates of e_i . g = g^-1 e_i, so the matrix of gh is G_g G_h."""
         if self._gens is None:
             self._gens = [self.coords(self._permuted_basis(k)) for k in (0, 1)]
         return self._gens
 
     def generator_signs(self) -> tuple[int, int]:
         return self._sk.gen_signs
-
-    def _standard_rows(self) -> np.ndarray:
-        """Row of each number 0..d-1 in each standard tabloid {t}, read off its code.
-
-        Only Hom spaces need this, so it is built on the first call rather
-        than with the skeleton.
-        """
-        if self._std_rows is None:
-            n_rows, powers = _code_powers(self.lam.parts)
-            self._std_rows = self._sk.codes[self._sk.std][:, None] // powers % n_rows
-        return self._std_rows
 
     # -- invariants -------------------------------------------------------
 
@@ -395,7 +391,7 @@ def build_specht(lam: Partition, p: int) -> SpechtModule:
     """Construct S^lambda over GF(p), refusing oversized permutation modules."""
     check_prime(p)
     if p > _MAX_PRIME:
-        raise Overflow(f"residues mod {p} do not fit the int8 basis (p <= {_MAX_PRIME})")
+        raise Overflow(f"residues mod {p} do not fit int8 (p <= {_MAX_PRIME})")
     _check_degree(lam)
     env = os.environ.get("TWISTLAB_MAX_DIM")
     if env and not (env.isascii() and env.isdigit()):
@@ -474,7 +470,7 @@ def _seed_space(a: SpechtModule, b: SpechtModule) -> np.ndarray:
     p = b.p
     codes = b._sk.codes
     _, powers = _code_powers(b.lam.parts)
-    rows = b._standard_rows()
+    rows = b._sk.std_rows
 
     def imposed(values: np.ndarray, relation: list[tuple[np.ndarray, int]]) -> np.ndarray:
         # sum over the terms of sign * values at sigma{t_u}, one column per u
@@ -506,9 +502,9 @@ def _tableau_moves(a: SpechtModule, b: SpechtModule) -> np.ndarray:
     pi_s.  The code of pi_s^-1 {t_u} puts the row of q in {t_u} at place
     pi_s^-1(q), so all n_a x n_b codes come out of one integer product.
     """
-    words = np.argsort(a._standard_rows(), axis=1, kind="stable")
+    words = np.argsort(a._sk.std_rows, axis=1, kind="stable")
     _, powers = _code_powers(b.lam.parts)
-    moved = powers[np.argsort(words, axis=1)] @ b._standard_rows().T
+    moved = powers[np.argsort(words, axis=1)] @ b._sk.std_rows.T
     return _index_of(b._sk.codes, moved.ravel()).reshape(moved.shape)
 
 

@@ -207,6 +207,12 @@ def test_parts_past_64_bits_are_usage_errors(capsys, argv):
         ("specht hom --p 2 --lam 1000000 --mu 1000000", 1, "TooLarge"),
         ("murphy --d 201 --r 100", 1, "TooLarge"),
         ("murphy --d 321 --r 160", 1, "TooLarge"),
+        ("search census --p 2 --d 80", 1, "TooLarge"),
+        ("search fixed-points --p 2 --d 90", 1, "TooLarge"),
+        ("search ks-stability --p 3 --d 20000", 1, "TooLarge"),
+        ("symbol --p 3 --lambda 29999999,1", 1, "TooLarge"),
+        ("symbol --p 3 --lambda 999999999999,1", 1, "TooLarge"),
+        ("mull --p 3 --lambda 999999999999,1 --show-symbol", 1, "TooLarge"),
     ],
 )
 def test_huge_abacus_calls_end_quickly(capsys, argv, code, error):

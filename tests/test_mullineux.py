@@ -86,6 +86,24 @@ def test_symbol_example():
     assert sym.columns == ((5, 2),) * 6
 
 
+def test_symbol_columns_stop_at_the_column_budget(monkeypatch):
+    sym = mullineux_symbol(Partition((15, 15)), 5)
+    monkeypatch.setattr(mullineux_module, "_MAX_SYMBOL_COLUMNS", 6)
+    assert sym.top == (5,) * 6 and sym.bottom == (2,) * 6
+    monkeypatch.setattr(mullineux_module, "_MAX_SYMBOL_COLUMNS", 5)
+    for written_out in ("columns", "top", "bottom"):
+        with pytest.raises(TooLarge, match="6 columns in 1 runs"):
+            getattr(sym, written_out)
+    assert sym.size == 30  # read off the runs, never written out
+
+
+def test_symbol_column_budget_admits_a_million_columns():
+    assert mullineux_module._MAX_SYMBOL_COLUMNS >= 10**6
+    sym = MullineuxSymbol(3, ((3, 1, 10**12), (1, 1, 1)))
+    with pytest.raises(TooLarge, match="1000000000001 columns in 2 runs"):
+        sym.columns
+
+
 def test_symbol_rejects_garbage():
     with pytest.raises(InvalidSymbol):
         MullineuxSymbol(5, ((0, 1, 1),))

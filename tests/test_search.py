@@ -1,8 +1,11 @@
 import json
+import time
 
 import pytest
 
-from twistlab.partitions import Partition
+import twistlab.search as search_module
+from twistlab.errors import TooLarge
+from twistlab.partitions import Partition, enumerate_partitions
 from twistlab.search import (
     SearchReport,
     census,
@@ -104,3 +107,40 @@ def test_elapsed_is_excluded_from_the_body():
     assert report.elapsed >= 0.0
     assert b"elapsed" not in report.body_bytes()
     assert "elapsed" in report.to_dict()
+
+
+@pytest.mark.parametrize(
+    "scan, d, p, cases",
+    [
+        (census, 22, 3, 1002),
+        (ks_stability_scan, 100, 3, 51 * 51),
+        (find_twist_commuting, 26, 3, 617),
+        (check_twist_persistence, 12, 2, 15),
+        (find_p_image, 12, 3, 36),
+    ],
+)
+def test_scans_stop_at_the_case_budget(monkeypatch, scan, d, p, cases):
+    monkeypatch.setattr(search_module, "_MAX_SCAN_CASES", cases)
+    assert scan(d, p).scanned == cases
+    monkeypatch.setattr(search_module, "_MAX_SCAN_CASES", cases - 1)
+    with pytest.raises(TooLarge, match="visits more than the limit"):
+        scan(d, p)
+
+
+def test_family_size_counts_what_the_enumeration_yields():
+    for d in range(40):
+        for kind, p in [("all", 2), ("p_regular", 2), ("p_regular", 3), ("p_regular", 7),
+                        ("p_regular", 2**61 - 1), ("two_part", 3)]:
+            count = sum(1 for _ in enumerate_partitions(d, kind, p))
+            got = search_module._family_size(d, kind, p)
+            if count <= search_module._MAX_SCAN_CASES:
+                assert got == count, (d, kind, p)
+            else:
+                assert got > search_module._MAX_SCAN_CASES, (d, kind, p)
+
+
+def test_family_size_of_a_huge_degree_is_cheap():
+    start = time.perf_counter()
+    for kind, p in [("all", 2), ("p_regular", 2), ("p_regular", 10**9 + 7), ("two_part", 3)]:
+        assert search_module._family_size(10**18, kind, p) > search_module._MAX_SCAN_CASES
+    assert time.perf_counter() - start < 0.5

@@ -198,17 +198,35 @@ def test_hom_recheck_refuses_a_map_that_does_not_commute():
         _spin_hom(3, gens, gens, broken)
 
 
-def test_standard_rows_wait_for_a_hom_question():
-    for lam in enumerate_partitions(6, "all"):
-        module = build_specht(lam, 3)
-        module.generators()
-        invariants_dim(module)
-        assert module._std_rows is None, lam
-        want = np.zeros((module.dim, lam.size), dtype=np.int64)
-        for s, tableau in enumerate(specht.standard_tableaux(lam.parts)):
-            for row, entries in enumerate(tableau):
-                want[s, entries] = row
-        assert np.array_equal(module._standard_rows(), want), lam
+def test_skeleton_standard_rows_match_the_standard_tableaux():
+    for d in range(7):
+        for lam in enumerate_partitions(d, "all"):
+            sk = _skeleton(lam.parts)
+            tableaux = specht.standard_tableaux(lam.parts)
+            want = np.zeros((len(tableaux), d), dtype=np.int64)
+            for s, tableau in enumerate(tableaux):
+                for row, entries in enumerate(tableau):
+                    want[s, entries] = row
+            assert sk.std_rows.shape == want.shape and np.array_equal(sk.std_rows, want), lam
+            # the tabloid {t} of each standard tableau t has the code of those rows
+            _, powers = _code_powers(lam.parts)
+            assert np.array_equal(sk.codes[sk.std], want @ powers), lam
+
+
+def test_one_read_only_polytabloid_matrix_per_shape():
+    lam = Partition((3, 2, 1))
+    assert build_specht(lam, 2).basis is build_specht(lam, 3).basis
+    sk = _skeleton(lam.parts)
+    assert all(not a.flags.writeable for a in _skeleton_arrays(sk))
+    with pytest.raises(ValueError):
+        build_specht(lam, 2).basis[0, 0] = 0
+    # a module's own arrays are dim x dim at most: B belongs to the skeleton
+    module = build_specht(lam, 5)
+    module.generators(), end_ring(module)
+    for value in vars(module).values():
+        for a in value if isinstance(value, list) else [value]:
+            if isinstance(a, np.ndarray) and a is not sk.b_signed:
+                assert a.size <= module.dim**2
 
 
 @pytest.mark.parametrize("lam", [(8, 1, 1, 1), (10, 1, 1, 1)])
@@ -530,13 +548,35 @@ def test_tableau_signs_move_the_first_tableau():
             assert specht._skeleton(lam.parts).tableau_signs.tolist() == want, lam
 
 
-def test_skeleton_nbytes_counts_every_array():
-    sk = specht._skeleton((3, 2, 1))
+def _skeleton_arrays(sk):
     values = [getattr(sk, field.name) for field in fields(sk)]
     flat = [v for value in values for v in (value if isinstance(value, tuple) else (value,))]
-    arrays = [a for a in flat if isinstance(a, np.ndarray)]
-    assert len(arrays) == 6  # codes, both sigma, b_signed, std, tableau_signs
+    return [a for a in flat if isinstance(a, np.ndarray)]
+
+
+def test_skeleton_nbytes_counts_every_array():
+    sk = specht._skeleton((3, 2, 1))
+    arrays = _skeleton_arrays(sk)
+    assert len(arrays) == 7  # codes, both moves, b_signed, std, std_rows, tableau_signs
     assert sk.nbytes == sum(a.nbytes for a in arrays)
+
+
+def test_permuted_basis_moves_each_tabloid_by_its_generator():
+    # a right action, as the rows of the generator matrices are: (v.g){T} = v(g{T}),
+    # where g{T} puts g(q) in the row of q, and (1 2) and (1 2 ... d) send q to
+    # swap[q] and q + 1
+    for d in range(1, 7):
+        for lam in enumerate_partitions(d, "all"):
+            module = build_specht(lam, 5)
+            n_rows, powers = _code_powers(lam.parts)
+            rows_of = module._sk.codes[:, None] // powers % n_rows
+            swap = list(range(d))
+            swap[:2] = swap[1::-1]
+            for k, image in enumerate((swap, [(q + 1) % d for q in range(d)])):
+                moved_rows = np.empty_like(rows_of)
+                moved_rows[:, image] = rows_of
+                want = module.basis[:, _index_of(module._sk.codes, moved_rows @ powers)]
+                assert np.array_equal(module._permuted_basis(k), np.mod(want, 5)), (lam, k)
 
 
 def test_std_block_generators_match_full_basis_elimination():
@@ -576,6 +616,7 @@ def test_std_block_inverse_of_a_large_block_matches_the_oracle():
 @pytest.mark.parametrize("row, col, value", [(1, 0, 1), (0, 0, 2), (2, 2, 0)])
 def test_std_block_inverse_refuses_a_block_that_is_not_unitriangular(row, col, value):
     module = build_specht(Partition((3, 2)), 3)
+    module.basis = module.basis.copy()  # corrupt a private copy, never the shared B
     module.basis[row, module._sk.std[col]] = value
     with pytest.raises(AssertionError, match="not unitriangular"):
         module._std_block_inverse()
