@@ -12,10 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import ceil
-from typing import Optional
+from typing import Iterable, Optional
 
 from .errors import HypothesisViolated, TooFewBeads, TooLarge, check_modulus
-from .partitions import Partition, enumerate_partitions
+from .partitions import Partition
 
 # to_abacus refuses more beads than this; each bead costs a Python object
 _MAX_BEADS = 100_000
@@ -218,21 +218,21 @@ class BlockRecord:
     p_by_p_members: tuple[Partition, ...]
 
 
-def block_census(d: int, p: int) -> list[BlockRecord]:
-    """Group all partitions of d by (p-core, weight), flagging p-by-p members.
+def block_census(partitions: Iterable[Partition], p: int) -> list[BlockRecord]:
+    """Group partitions of one size by (p-core, weight), flagging p-by-p members.
 
-    Blocks are listed by decreasing lexicographic core; members keep
-    enumeration order.
+    Blocks are listed by decreasing lexicographic core; members keep the
+    order they were handed in.
     """
     groups: dict[tuple[int, ...], list[Partition]] = {}
-    for lam in enumerate_partitions(d):
+    for lam in partitions:
         data = p_core(lam, p)
         groups.setdefault(data.core.parts, []).append(lam)
     records = []
     for core_parts in sorted(groups, reverse=True):
         members = groups[core_parts]
         core = Partition(core_parts)
-        weight = (d - core.size) // p
+        weight = (members[0].size - core.size) // p
         flagged = tuple(m for m in members if is_p_by_p(m, p))
         records.append(BlockRecord(core, weight, tuple(members), flagged))
     return records

@@ -82,8 +82,9 @@ def _partition(text: str) -> Partition:
 
 
 def _symbol_rows(sym: MullineuxSymbol) -> Dict[str, list]:
-    """The symbol's two rows, one entry per column."""
-    return {"a": list(sym.top), "r": list(sym.bottom)}
+    """The symbol's two rows, one entry per column, written out once."""
+    columns = sym.columns
+    return {"a": [a for a, _ in columns], "r": [r for _, r in columns]}
 
 
 # ---------------------------------------------------------------- handlers

@@ -21,7 +21,8 @@ from .errors import (
 )
 
 _PART_MAX = 2**63 - 1
-# partitions built row by row (hat, the closed form of tau) have at most this many rows
+# partitions built row by row (hat, the conjugate, the closed form of tau) have at
+# most this many rows
 _MAX_ROWS = 100_000
 
 
@@ -96,9 +97,13 @@ class Partition:
     # -- arithmetic ----------------------------------------------------
 
     def conjugate(self) -> "Partition":
-        """Transpose the Young diagram: part j of the result counts rows >= j+1."""
+        """Transpose the Young diagram: part j of the result counts rows >= j+1.
+
+        TooLarge when the result would have more than _MAX_ROWS rows.
+        """
         if not self._parts:
             return Partition()
+        _check_rows(self._parts[0], f"the conjugate of {self}")
         cols = [0] * self._parts[0]
         for part in self._parts:
             for j in range(part):

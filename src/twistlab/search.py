@@ -7,15 +7,17 @@ and returns a :class:`SearchReport`.  Certificates are stored inline (the
 recomputed images, quotients, or digit witnesses) so a report can be audited
 without rerunning the scan.
 
-The scans over partitions of d are a visitor plus one driver, ``_scan``.  A
-visitor takes one partition and p and returns its hits, its counterexamples
-and the number of cases it scanned: 1, or the number of mu pairs for the
-two-row Ext^1 scan.  The driver visits the family in enumeration order and
-concatenates what the visitors return.  Before the first visit, every scan
-over the partitions of d counts its cases and refuses more than
-``_MAX_SCAN_CASES`` with TooLarge.  ``_SCANS`` names every scan once,
-by the name of its function here, for the command line and the fixture
-checker, which look the function up each time they run it.
+Every scan is its cases, a visitor of one case and one driver, ``_scan``.
+The cases are an iterable: the p-regular partitions of d, the ordered
+two-row pairs of d, the exponent pairs (a, b) of the repeated twist, or all
+partitions of d for the census.  The driver takes at most
+``_MAX_SCAN_CASES`` + 1 of them before the first visit and refuses a family
+that had more with TooLarge, so a scan holds what it visits and the budget
+counts what it holds.  It then visits the held cases in order and
+concatenates what the visitor returns for each.  The census visits its held
+partitions at once, grouping them into blocks.  ``_SCANS`` names every scan
+once, by the name of its function here, for the command line and the
+fixture checker, which look the function up each time they run it.
 
 Reports are deterministic: identical parameters yield byte-identical bodies.
 Wall-clock time lives outside the body, in :attr:`SearchReport.elapsed`.
@@ -26,7 +28,9 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from functools import cache, partial
+from itertools import combinations, islice
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from . import __version__
 from .abacus import block_census
@@ -36,7 +40,6 @@ from .errors import (
     NonPartitionDifference,
     Overflow,
     TooLarge,
-    check_modulus,
     check_prime,
 )
 from .mullineux import mullineux_map
@@ -53,16 +56,18 @@ __all__ = [
 ]
 
 _SCHEMA = 1
-# cases (partitions, or (lambda, mu) pairs for the Ext^1 scan) one scan over
-# the partitions of d may visit; the slowest scan within it, persistence at
+# cases one scan may hold: partitions of d, (lambda, mu) pairs for the Ext^1
+# scan, (a, b) pairs for the repeated twist; taking one more and refusing
+# costs at most about 0.15 s.  The slowest scan within it, persistence at
 # p = 2 and d = 59 (9,792 cases), takes about 8 s on a 2-core machine, and
 # census and the Ext^1 scan stay under 0.5 s
 _MAX_SCAN_CASES = 10_000
 
 Hit = Dict[str, Any]
-# what a visitor returns for one partition: hits, counterexamples, cases scanned
-Visit = Tuple[List[Hit], List[Hit], int]
-Visitor = Callable[[Partition, int], Visit]
+# what a visitor returns for one case: its hits and its counterexamples
+Visit = Tuple[List[Hit], List[Hit]]
+# what judges the held cases: every hit and counterexample, in case order
+Judge = Callable[[List[Any]], Visit]
 
 
 @dataclass(frozen=True)
@@ -106,65 +111,38 @@ def _parts(lam: Partition) -> List[int]:
     return list(lam.parts)
 
 
-def _report(search: str, parameters: Dict[str, Any], hits: Sequence[Hit],
-            counterexamples: Sequence[Hit], scanned: int, start: float) -> SearchReport:
-    """The report of a scan begun at perf_counter() == start."""
+def _scan(search: str, parameters: Dict[str, Any], cases: Iterable[Any],
+          judge: Judge) -> SearchReport:
+    """Hold at most _MAX_SCAN_CASES cases, judge them and report; TooLarge past it."""
+    start = time.perf_counter()
+    held = list(islice(cases, _MAX_SCAN_CASES + 1))
+    if len(held) > _MAX_SCAN_CASES:
+        at = ", ".join(f"{key} = {value}" for key, value in parameters.items())
+        raise TooLarge(f"{search} at {at} visits more than the limit of {_MAX_SCAN_CASES} cases")
+    hits, bad = judge(held)
     return SearchReport(
         search=search,
         parameters=parameters,
         hits=tuple(hits),
-        counterexamples=tuple(counterexamples),
-        scanned=scanned,
+        counterexamples=tuple(bad),
+        scanned=len(held),
         elapsed=time.perf_counter() - start,
     )
 
 
-def _family_size(d: int, kind: str, p: int) -> int:
-    """Partitions of d in the family ``kind``, counted exactly up to _MAX_SCAN_CASES.
-
-    Past the budget this is only some count over it: counts never decrease
-    in d, so counting stops at the first n <= d whose count passes it.  The
-    count b(n) follows Euler's n b(n) = sum_k s(k) b(n - k), s(k) the sum of
-    the allowed parts dividing k; p-regular partitions are as many as those
-    with no part divisible by p (Glaisher).
-    """
-    if kind == "two_part":
-        return d // 2 + 1
-    if kind == "p_regular":
-        check_modulus(p)  # as the enumeration does
-    counts, s = [1], [0]
-    for n in range(1, d + 1):
-        s.append(sum(j for j in range(1, n + 1) if n % j == 0 and (kind == "all" or j % p)))
-        counts.append(sum(s[k] * counts[n - k] for k in range(1, n + 1)) // n)
-        if counts[-1] > _MAX_SCAN_CASES:
-            break
-    return counts[-1]
+def _each(visit: Callable[[Any], Visit]) -> Judge:
+    """Judge held cases one at a time, in order, by a visitor of one case."""
+    def judge(held: List[Any]) -> Visit:
+        visits = [visit(case) for case in held]
+        return [h for v in visits for h in v[0]], [c for v in visits for c in v[1]]
+    return judge
 
 
-def _check_cases(search: str, d: int, p: int, kind: str, pairs: bool = False) -> None:
-    """Refuse a scan of more than _MAX_SCAN_CASES members of the family, or pairs of them."""
-    size = _family_size(d, kind, p)
-    if (size * size if pairs else size) > _MAX_SCAN_CASES:
-        raise TooLarge(
-            f"{search} over the partitions of {d} at p = {p} visits more than the limit"
-            f" of {_MAX_SCAN_CASES} cases"
-        )
-
-
-def _scan(
-    search: str, visit: Visitor, d: int, p: int, kind: str, pairs: bool = False
-) -> SearchReport:
-    """Visit every partition of d in the family ``kind``, in enumeration order.
-
-    With ``pairs``, each visit scans its partition against every member of
-    the family, and the budget counts those pairs.
-    """
-    _check_cases(search, d, p, kind, pairs)
-    start = time.perf_counter()
-    visits = [visit(lam, p) for lam in enumerate_partitions(d, kind, p)]
-    hits = [h for v in visits for h in v[0]]
-    bad = [c for v in visits for c in v[1]]
-    return _report(search, {"d": d, "p": p}, hits, bad, sum(v[2] for v in visits), start)
+def _p_regular_scan(search: str, visit: Callable[[Partition, int], Visit], d: int,
+                    p: int) -> SearchReport:
+    """Visit the p-regular partitions of d in enumeration order."""
+    return _scan(search, {"d": d, "p": p}, enumerate_partitions(d, "p_regular", p),
+                 _each(lambda lam: visit(lam, p)))
 
 
 def _commutes(lam: Partition, p: int) -> Optional[Tuple[Partition, Partition]]:
@@ -177,10 +155,10 @@ def _commutes(lam: Partition, p: int) -> Optional[Tuple[Partition, Partition]]:
 def _visit_fixed_point(lam: Partition, p: int) -> Visit:
     found = _commutes(lam, p)
     if found is None:
-        return [], [], 1
+        return [], []
     image, twisted = found
     hit = {"lambda": _parts(lam), "m_lambda": _parts(image), "m_p_lambda": _parts(twisted)}
-    return [hit], [], 1
+    return [hit], []
 
 
 def find_twist_commuting(d: int, p: int) -> SearchReport:
@@ -189,17 +167,17 @@ def find_twist_commuting(d: int, p: int) -> SearchReport:
     A hit is a partition lam with m(p*lam) = p*m(lam); both images are stored
     so the identity can be rechecked from the report alone.
     """
-    return _scan("fixed-points", _visit_fixed_point, d, p, "p_regular")
+    return _p_regular_scan("fixed-points", _visit_fixed_point, d, p)
 
 
 def _visit_persistence(lam: Partition, p: int) -> Visit:
     found = _commutes(lam, p)
     if found is None:
-        return [], [], 1
+        return [], []
     once = found[1]
     twice = mullineux_map(lam.scale(p * p), p)
     record = {"lambda": _parts(lam), "m_p_lambda": _parts(once), "m_p2_lambda": _parts(twice)}
-    return ([record], [], 1) if twice == once.scale(p) else ([], [record], 1)
+    return ([record], []) if twice == once.scale(p) else ([], [record])
 
 
 def check_twist_persistence(d: int, p: int) -> SearchReport:
@@ -209,15 +187,15 @@ def check_twist_persistence(d: int, p: int) -> SearchReport:
     the hits also satisfy m(p^2*lam) = p*m(p*lam) and the counterexamples do
     not.  The counterexample list is expected to be empty.
     """
-    return _scan("persistence", _visit_persistence, d, p, "p_regular")
+    return _p_regular_scan("persistence", _visit_persistence, d, p)
 
 
 def _visit_p_image(lam: Partition, p: int) -> Visit:
     twisted = mullineux_map(lam.scale(p), p)
     tau = twisted.divide(p)
     if tau is None:
-        return [], [], 1
-    return [{"lambda": _parts(lam), "m_p_lambda": _parts(twisted), "tau": _parts(tau)}], [], 1
+        return [], []
+    return [{"lambda": _parts(lam), "m_p_lambda": _parts(twisted), "tau": _parts(tau)}], []
 
 
 def find_p_image(d: int, p: int) -> SearchReport:
@@ -226,7 +204,7 @@ def find_p_image(d: int, p: int) -> SearchReport:
     Each hit stores the quotient tau = m(p*lam)/p as its certificate.  This
     is strictly weaker than twist commuting, so those hits always reappear.
     """
-    return _scan("p-image", _visit_p_image, d, p, "p_regular")
+    return _p_regular_scan("p-image", _visit_p_image, d, p)
 
 
 def multi_twist_scan(lam: Partition, p: int, max_b: int) -> SearchReport:
@@ -235,46 +213,44 @@ def multi_twist_scan(lam: Partition, p: int, max_b: int) -> SearchReport:
     A pair (a, b) witnesses when m(p^b*lam) - m(p^a*lam) is a partition
     divisible by p^a; the quotient tau is stored with the pair.  Pairs where
     the subtraction fails or the quotient is not integral are simply absent
-    from the hits.
+    from the hits.  ``scanned`` counts pairs.
     """
     check_prime(p)
     if max_b < 2:
         raise HypothesisViolated("max_b must be at least 2")
-    if lam and lam.part(0) > _PART_MAX // p**max_b:
+    # p^64 > 2^63 for every p >= 2, so the cap leaves the answer as it is
+    if lam and lam.part(0) * p ** min(max_b, 64) > _PART_MAX:
         raise Overflow(f"p^{max_b} * {lam} exceeds 64-bit parts")
-    start = time.perf_counter()
-    images = {a: mullineux_map(lam.scale(p**a), p) for a in range(1, max_b + 1)}
-    hits: List[Hit] = []
-    scanned = 0
-    for a in range(1, max_b + 1):
-        for b in range(a + 1, max_b + 1):
-            scanned += 1
-            try:
-                diff = images[b] - images[a]
-            except NonPartitionDifference:
-                continue
-            tau = diff.divide(p**a)
-            if tau is None:
-                continue
-            hits.append({"a": a, "b": b, "difference": _parts(diff), "tau": _parts(tau)})
+
+    @cache  # each image once, in the order the pairs first need it
+    def image(a: int) -> Partition:
+        return mullineux_map(lam.scale(p**a), p)
+
+    def visit(pair: Tuple[int, int]) -> Visit:
+        a, b = pair
+        low, high = image(a), image(b)
+        try:
+            diff = high - low
+        except NonPartitionDifference:
+            return [], []
+        tau = diff.divide(p**a)
+        if tau is None:
+            return [], []
+        return [{"a": a, "b": b, "difference": _parts(diff), "tau": _parts(tau)}], []
+
     parameters = {"lambda": _parts(lam), "p": p, "max_b": max_b}
-    return _report("multi-twist", parameters, hits, (), scanned, start)
+    return _scan("multi-twist", parameters, combinations(range(1, max_b + 1), 2), _each(visit))
 
 
-def _visit_ks(lam: Partition, p: int) -> Visit:
-    changed: List[Hit] = []
-    unstable: List[Hit] = []
-    targets = list(enumerate_partitions(lam.size, "two_part"))
-    for mu in targets:
-        plain = ks_ext1(p, lam, mu)
-        once = ks_ext1(p, lam.scale(p), mu.scale(p))
-        twice = ks_ext1(p, lam.scale(p * p), mu.scale(p * p))
-        pair = {"lambda": _parts(lam), "mu": _parts(mu)}
-        if plain != once:
-            changed.append({**pair, "untwisted": plain, "once": once})
-        if once != twice:
-            unstable.append({**pair, "once": once, "twice": twice})
-    return changed, unstable, len(targets)
+def _visit_ks(pair: Tuple[Partition, Partition], p: int) -> Visit:
+    lam, mu = pair
+    plain = ks_ext1(p, lam, mu)
+    once = ks_ext1(p, lam.scale(p), mu.scale(p))
+    twice = ks_ext1(p, lam.scale(p * p), mu.scale(p * p))
+    record = {"lambda": _parts(lam), "mu": _parts(mu)}
+    changed = [{**record, "untwisted": plain, "once": once}] if plain != once else []
+    unstable = [{**record, "once": once, "twice": twice}] if once != twice else []
+    return changed, unstable
 
 
 def ks_stability_scan(d: int, p: int) -> SearchReport:
@@ -284,7 +260,10 @@ def ks_stability_scan(d: int, p: int) -> SearchReport:
     differ (expected none); hits collect the milder phenomenon where the first
     scaling already changes the unscaled answer.  ``scanned`` counts pairs.
     """
-    return _scan("ks-stability", _visit_ks, d, p, "two_part", pairs=True)
+    # the pairs in product order, but lazy: a huge d costs only the pairs taken
+    family = partial(enumerate_partitions, d, "two_part")
+    pairs = ((lam, mu) for lam in family() for mu in family())
+    return _scan("ks-stability", {"d": d, "p": p}, pairs, _each(lambda pair: _visit_ks(pair, p)))
 
 
 def census(d: int, p: int) -> SearchReport:
@@ -294,20 +273,19 @@ def census(d: int, p: int) -> SearchReport:
     enumeration order, and the members all of whose part values and part
     multiplicities are divisible by p.
     """
-    _check_cases("census", d, p, "all")
-    start = time.perf_counter()
-    blocks = block_census(d, p)
-    hits = tuple(
-        {
-            "core": _parts(b.core),
-            "weight": b.weight,
-            "members": [_parts(m) for m in b.members],
-            "p_by_p": [_parts(m) for m in b.p_by_p_members],
-        }
-        for b in blocks
-    )
-    scanned = sum(len(b.members) for b in blocks)
-    return _report("census", {"d": d, "p": p}, hits, (), scanned, start)
+    def judge(held: List[Partition]) -> Visit:
+        blocks = [
+            {
+                "core": _parts(b.core),
+                "weight": b.weight,
+                "members": [_parts(m) for m in b.members],
+                "p_by_p": [_parts(m) for m in b.p_by_p_members],
+            }
+            for b in block_census(held, p)
+        ]
+        return blocks, []
+
+    return _scan("census", {"d": d, "p": p}, enumerate_partitions(d), judge)
 
 
 # scan name -> (name of its function in this module, its arguments as input

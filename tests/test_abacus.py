@@ -113,7 +113,7 @@ def test_p_by_p_detection():
 
 def test_census_covers_every_partition_once():
     for p in (2, 3):
-        records = block_census(6, p)
+        records = block_census(enumerate_partitions(6), p)
         seen = []
         for record in records:
             assert record.core == p_core(record.members[0], p).core

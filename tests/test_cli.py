@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from conftest import partitions
 from twistlab import cli, errors, mullineux, search, specht
 from twistlab.cli import main
+from twistlab.partitions import Partition
 
 
 def run_cli(capsys, *argv):
@@ -229,6 +230,60 @@ def test_huge_abacus_calls_end_quickly(capsys, argv, code, error):
     else:
         assert err.splitlines()[-1].endswith("not drawn)")
         assert len(err) < 50_000
+
+
+# scans that once ran unbounded, each with the class it must end in
+_RUNAWAY_SCANS = [
+    ("search census --p 2 --d 80", "TooLarge"),
+    ("search fixed-points --p 2 --d 90", "TooLarge"),
+    ("search persistence --p 2 --d 1000000000000000000", "TooLarge"),
+    ("search ks-stability --p 3 --d 20000", "TooLarge"),
+    ("search multi-twist --p 2 --lambda '' --max-b 100000", "TooLarge"),
+    ("search multi-twist --p 3 --lambda 1 --max-b 1000000000", "Overflow"),
+]
+
+
+def test_runaway_scans_exit_one_in_a_subprocess():
+    # a subprocess with a timeout, so a scan that escapes its budget fails
+    # this test instead of hanging the run
+    for argv, error in _RUNAWAY_SCANS:
+        args = [arg.strip("'") for arg in argv.split()]
+        proc = subprocess.run([sys.executable, "-m", "twistlab.cli", *args],
+                              capture_output=True, text=True, timeout=2)
+        assert proc.returncode == 1, argv
+        assert (proc.stdout, proc.stderr.split(":")[0]) == ("", error), argv
+
+
+def test_conjugate_past_the_row_limit_is_refused(tmp_path, capsys):
+    assert Partition((100_000,)).conjugate() == Partition([1] * 100_000)
+    with pytest.raises(errors.TooLarge):
+        Partition((10**6,)).conjugate()
+    # m((10^12)) at p = 3 is (5*10^11, 5*10^11): cheap to map, too long to transpose
+    fixture = {"id": "big", "kind": "mull", "expected": [1],
+               "inputs": {"p": 3, "lambda": [10**12], "conjugate": True}}
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps([fixture]))
+    code, out, err = run_cli(capsys, "verify", str(path))
+    assert (code, out) == (1, "")
+    assert err.splitlines()[-1].startswith("TooLarge: fixture 'big': ")
+
+
+def test_symbol_rows_write_the_columns_out_once(capsys, monkeypatch):
+    expanded = []
+    columns = mullineux.MullineuxSymbol.columns
+
+    def counting(sym):
+        expanded.append(sym)
+        return columns.fget(sym)
+
+    monkeypatch.setattr(mullineux.MullineuxSymbol, "columns", property(counting))
+    for argv in (["symbol", "--p", "5", "--lambda", "15,15"],
+                 ["mull", "--p", "5", "--lambda", "15,15", "--show-symbol"]):
+        expanded.clear()
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0 and len(expanded) == 1, argv
+        rows = json.loads(out)
+        assert rows.get("symbol", rows)["a"] == [5] * 6
 
 
 def test_unknown_subcommand_is_a_usage_error(capsys):

@@ -1,11 +1,10 @@
 import json
-import time
 
 import pytest
 
 import twistlab.search as search_module
 from twistlab.errors import TooLarge
-from twistlab.partitions import Partition, enumerate_partitions
+from twistlab.partitions import Partition
 from twistlab.search import (
     SearchReport,
     census,
@@ -109,6 +108,11 @@ def test_elapsed_is_excluded_from_the_body():
     assert "elapsed" in report.to_dict()
 
 
+def multi_twist_of_21(max_b, p):
+    """The repeated-twist scan of (2, 1), called as the scans over d are; it counts (a, b) pairs."""
+    return multi_twist_scan(Partition((2, 1)), p, max_b)
+
+
 @pytest.mark.parametrize(
     "scan, d, p, cases",
     [
@@ -117,6 +121,8 @@ def test_elapsed_is_excluded_from_the_body():
         (find_twist_commuting, 26, 3, 617),
         (check_twist_persistence, 12, 2, 15),
         (find_p_image, 12, 3, 36),
+        (multi_twist_of_21, 5, 2, 10),
+        (multi_twist_of_21, 3, 5, 3),
     ],
 )
 def test_scans_stop_at_the_case_budget(monkeypatch, scan, d, p, cases):
@@ -125,22 +131,3 @@ def test_scans_stop_at_the_case_budget(monkeypatch, scan, d, p, cases):
     monkeypatch.setattr(search_module, "_MAX_SCAN_CASES", cases - 1)
     with pytest.raises(TooLarge, match="visits more than the limit"):
         scan(d, p)
-
-
-def test_family_size_counts_what_the_enumeration_yields():
-    for d in range(40):
-        for kind, p in [("all", 2), ("p_regular", 2), ("p_regular", 3), ("p_regular", 7),
-                        ("p_regular", 2**61 - 1), ("two_part", 3)]:
-            count = sum(1 for _ in enumerate_partitions(d, kind, p))
-            got = search_module._family_size(d, kind, p)
-            if count <= search_module._MAX_SCAN_CASES:
-                assert got == count, (d, kind, p)
-            else:
-                assert got > search_module._MAX_SCAN_CASES, (d, kind, p)
-
-
-def test_family_size_of_a_huge_degree_is_cheap():
-    start = time.perf_counter()
-    for kind, p in [("all", 2), ("p_regular", 2), ("p_regular", 10**9 + 7), ("two_part", 3)]:
-        assert search_module._family_size(10**18, kind, p) > search_module._MAX_SCAN_CASES
-    assert time.perf_counter() - start < 0.5
