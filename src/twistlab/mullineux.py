@@ -42,7 +42,8 @@ _MAX_RUN_STEPS = 5_000
 # single steps times rows one run may make: each single step costs O(rows),
 # so a few steps over a column of 10^5 rows are refused as well; the largest
 # answered runs are about 1.9 million (tau(2 * 10**6, 100003): 19 steps of
-# 100,002 rows) and 0.2 million (37^3 (2,1,1): 2,737 steps of 71 rows)
+# 100,002 rows, 0.7 s on a 2-core machine) and 0.2 million (37^3 (2,1,1):
+# 2,737 steps of 71 rows, a 0.05-s map)
 _MAX_RUN_ROW_STEPS = 2_000_000
 # columns a symbol may write out, one tuple each: criterion 4's symbol has
 # 139,258; a million take about 1.5 s and 14 MB of JSON on the command line
@@ -92,48 +93,47 @@ class MullineuxSymbol:
         return sum(a * n for a, _, n in self.runs)
 
 
-def _rim_profile(parts: tuple[int, ...], p: int) -> list[int]:
+def _rim_profile(parts: tuple[int, ...], p: int) -> tuple[int, ...]:
     """Nodes removed from each row when the p-rim is stripped (rule above)."""
     counts = []
     budget = p
-    n = len(parts)
-    for j in range(n):
-        row = parts[j]
-        nxt = parts[j + 1] if j + 1 < n else 0
+    for row, nxt in zip(parts, parts[1:] + (0,)):
         avail = row - nxt + 1 if nxt else row
-        c = avail if avail < budget else budget
-        counts.append(c)
-        budget = p if c == budget else budget - c
-    return counts
+        if avail < budget:
+            counts.append(avail)
+            budget -= avail
+        else:
+            counts.append(budget)
+            budget = p
+    return tuple(counts)
 
 
 def _strip_raw(parts: tuple[int, ...], p: int) -> tuple[tuple[int, ...], int]:
     counts = _rim_profile(parts, p)
-    rest = tuple(row - c for row, c in zip(parts, counts) if row > c)
+    rest = tuple([row - c for row, c in zip(parts, counts) if row > c])
     return rest, sum(counts)
 
 
 def _cycle_strips_back(state: tuple[int, ...], cyc: list, p: int) -> bool:
     """Does stripping one rim per entry of cyc, in order, peel state by exactly cyc?"""
-    cur = list(state)
     for c in cyc:
-        if _rim_profile(tuple(cur), p) != c:
+        if _rim_profile(state, p) != c:
             return False
-        for t, ct in enumerate(c):
-            cur[t] -= ct
+        state = tuple([x - ct for x, ct in zip(state, c)])
     return True
 
 
 def _cycle_jump(
-    state: tuple[int, ...], history: list, p: int, left: int, sign: int
+    state: tuple[int, ...], history: list, p: int, left: int, sign: int, periods: range
 ) -> Optional[tuple[tuple[int, ...], int]]:
-    """Move state by whole cycles of the period of history: (state, steps), or None.
+    """Move state by whole cycles of a period of history: (state, steps), or None.
 
     history holds the profiles of the run's latest single steps, oldest
     first; sign is -1 when they were strips and +1 when they were
-    insertions.  At most left steps are made.  The argument is in `_walk_run`.
+    insertions.  Each period q in periods is tried, smallest first, and at
+    most left steps are made.  The argument is in `_walk_run`.
     """
-    for q in range(1, len(history) // 2 + 1):
+    for q in periods:
         if history[-1] != history[-1 - q] or history[-2 * q : -q] != history[-q:]:
             continue
         cyc = history[-q:]
@@ -154,24 +154,22 @@ def _cycle_jump(
     return None
 
 
-def _count_step(singles: int, a: int, r: int) -> int:
-    """One more single step in the run of column (a; r), refused past either cap."""
+def _step_refusal(singles: int, a: int, r: int) -> TooLarge:
+    """Why the run of column (a; r), after singles single steps, may make no more."""
     if singles >= _MAX_RUN_STEPS:
-        raise TooLarge(
+        return TooLarge(
             f"the run of column ({a};{r}) takes over {_MAX_RUN_STEPS} single rim steps"
             " before its profiles repeat"
         )
-    if (singles + 1) * r > _MAX_RUN_ROW_STEPS:
-        raise TooLarge(
-            f"the run of column ({a};{r}) takes over {_MAX_RUN_ROW_STEPS // r} single"
-            f" steps of {r} rows, over the limit of {_MAX_RUN_ROW_STEPS} row steps"
-        )
-    return singles + 1
+    return TooLarge(
+        f"the run of column ({a};{r}) takes over {_MAX_RUN_ROW_STEPS // r} single"
+        f" steps of {r} rows, over the limit of {_MAX_RUN_ROW_STEPS} row steps"
+    )
 
 
 def _walk_run(
     state: tuple[int, ...], a: int, r: int, p: int, left: Optional[int] = None, counts=None
-) -> tuple[tuple[int, ...], int, Optional[list[int]]]:
+) -> tuple[tuple[int, ...], int, Optional[tuple[int, ...]]]:
     """Walk one run of the column (a; r) from state: (state, steps, counts).
 
     Given left, insert exactly left rims.  Otherwise strip while the rims
@@ -179,20 +177,30 @@ def _walk_run(
     and the profile read that ends the run comes back (None if a row ran out).
 
     Single steps record their strip profiles (an insertion's is the growth
-    it lays down), newest last, keeping the latest 2*r*p.  `_cycle_jump`
-    takes, smallest first, each period q <= r*p whose last two q-blocks of
-    profiles agree, and predicts that the cycle cyc (the last q profiles,
-    summing to total) repeats.  The first cycle ahead must strip through
-    cyc, and then k cycles are made in one arithmetic step, k halved until
-    the last cycle also strips through cyc.  Insertion takes k <= left // q,
-    so a jump never passes the end of the run; stripping takes the largest k
-    that keeps every row positive, so the run's last strips are single ones.
-    The cap r*p, set by the trim, is a search limit, not a theorem.  When no
-    period passes, one single step is made, and a run that makes more than
-    _MAX_RUN_STEPS single steps (its transient and any period longer than
-    the cap walked one step at a time), or whose single steps times its r
-    rows pass _MAX_RUN_ROW_STEPS (each costs O(r)), raises TooLarge, so the
-    time a map takes stays bounded.
+    it lays down), newest last, with the step at which each profile last
+    occurred.  A jump of k >= 2 cycles of period q needs the newest profile
+    q steps back, so q is at least the distance q_min to its last
+    occurrence, and it needs 2*q steps ahead: left - done when inserting,
+    and at most state[-1] - 1 when stripping, since every strip takes a node
+    or more off the bottom row and a jump keeps that row positive.  So
+    `_cycle_jump` is tried only when q_min exists and 2*q_min steps fit
+    both ahead and in the latest 2*r*p profiles, which costs O(1) a step.
+    The room ahead never grows within a run, so a step is recorded only
+    while a jump could still fit, and a one-column run records nothing.
+    `_cycle_jump` takes, smallest first, each period q from q_min up to
+    that room whose last two q-blocks of profiles agree, and predicts that
+    the cycle cyc (the last q profiles, summing to total) repeats.  The
+    first cycle ahead must strip through cyc, and then k cycles are made in
+    one arithmetic step, k halved until the last cycle also strips through
+    cyc.  Insertion takes k <= left // q, so a jump never passes the end of
+    the run; stripping takes the largest k that keeps every row positive,
+    so the run's last strips are single ones.  The window of 2*r*p
+    profiles is a search limit, not a theorem.  When no period passes, one
+    single step is made, and a run that makes more than _MAX_RUN_STEPS
+    single steps (its transient and any period longer than the window
+    walked one step at a time), or whose single steps times its r rows pass
+    _MAX_RUN_ROW_STEPS (each costs O(r)), raises TooLarge, so the time a
+    map takes stays bounded.
 
     Checking the first and the last cycle suffices.  After j cycles the
     state is the start plus or minus j*total; within a cycle each strip
@@ -207,27 +215,45 @@ def _walk_run(
     through the cycle is the state that single insertions would have built.
     """
     grow = left is not None
-    left = left if grow else state[-1]  # a strip takes a node or more off the bottom row
-    history: list[list[int]] = []
-    done = singles = 0
+    if not grow:
+        left = state[-1]  # a strip takes a node or more off the bottom row
+    cap = min(_MAX_RUN_STEPS, _MAX_RUN_ROW_STEPS // r)
+    window = 2 * r * p
+    history: list[tuple[int, ...]] = []
+    last: dict[tuple[int, ...], int] = {}
+    done = singles = q_min = 0
+    step = None
     while done < left and (grow or len(state) == r):
-        jump = len(history) > 1 and _cycle_jump(state, history, p, left - done, 1 if grow else -1)
-        if jump:
-            state, steps = jump
-            done += steps
-            continue
-        if not grow:
+        room = left - done if grow else state[-1] - 1
+        if step and room > 1:  # a jump of two cycles could still fit ahead
+            q_min = singles - last.get(step, singles)
+            last[step] = singles
+            history.append(step)
+            if len(history) > 2 * window:
+                del history[:-window]
+            step = None
+        if q_min and 2 * q_min <= room:
+            top = min(room, len(history), window) // 2
+            jump = q_min <= top and _cycle_jump(
+                state, history, p, left - done, 1 if grow else -1, range(q_min, top + 1)
+            )
+            if jump:
+                state, steps = jump
+                done += steps
+                continue
+        if grow:
+            if singles >= cap:
+                raise _step_refusal(singles, a, r)
+            state, step = _insert_raw(state, a, r, p)
+        else:
             counts = counts or _rim_profile(state, p)
             if sum(counts) != a:
                 break
-        singles = _count_step(singles, a, r)
-        if grow:
-            state, step = _insert_raw(state, a, r, p)
-        else:
+            if singles >= cap:
+                raise _step_refusal(singles, a, r)
             step, counts = counts, None
-            state = tuple(row - c for row, c in zip(state, step) if row > c)
-        history.append(step)
-        del history[: -2 * r * p]
+            state = tuple([row - c for row, c in zip(state, step) if row > c])
+        singles += 1
         done += 1
     return state, done, counts
 
@@ -272,7 +298,9 @@ def transform_symbol(sym: MullineuxSymbol) -> MullineuxSymbol:
     return MullineuxSymbol(p, runs)
 
 
-def _insert_raw(mu: tuple[int, ...], a: int, r: int, p: int) -> tuple[tuple[int, ...], list[int]]:
+def _insert_raw(
+    mu: tuple[int, ...], a: int, r: int, p: int
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Insert one p-rim of a nodes over r rows into mu: (nu, the growth of each row)."""
     if a < 1 or r < 1:
         raise NoInsertion(f"rim size {a} and row count {r} must be positive")
@@ -281,21 +309,25 @@ def _insert_raw(mu: tuple[int, ...], a: int, r: int, p: int) -> tuple[tuple[int,
     if not (r <= a <= r * p):
         raise NoInsertion(f"a {p}-rim over {r} rows holds between {r} and {r * p} nodes")
 
-    row_of = list(mu) + [0] * (r - len(mu))
+    rows = mu + (0,) * (r - len(mu))
     growth = [0] * r
+    nu = [0] * r
     left = a - p * ((a - 1) // p)  # the bottom segment; every other one holds p
     for j in range(r - 1, 0, -1):
-        gap = row_of[j - 1] - row_of[j] + 1
+        gap = rows[j - 1] - rows[j] + 1
         if left > gap:  # row j continues a segment that starts higher up
             growth[j] = gap
+            nu[j] = rows[j - 1] + 1
             left -= gap
         else:  # row j starts its segment, and the segment above is full
             growth[j] = left
+            nu[j] = rows[j] + left
             left = p
     growth[0] = left
-    nu = tuple(x + g for x, g in zip(row_of, growth))
+    nu[0] = rows[0] + left
+    growth, nu = tuple(growth), tuple(nu)
     # every growth is positive, so a matching strip also makes nu a partition
-    if sum(growth) != a or not _cycle_strips_back(nu, [growth], p):
+    if sum(growth) != a or _rim_profile(nu, p) != growth:
         raise NoInsertion(f"no partition with {r} rows yields rim size {a} under {p}-rim removal")
     return nu, growth
 

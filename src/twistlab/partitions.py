@@ -99,15 +99,16 @@ class Partition:
     def conjugate(self) -> "Partition":
         """Transpose the Young diagram: part j of the result counts rows >= j+1.
 
-        TooLarge when the result would have more than _MAX_ROWS rows.
+        O(rows + first part).  TooLarge when the result would have more than
+        _MAX_ROWS rows.
         """
         if not self._parts:
             return Partition()
         _check_rows(self._parts[0], f"the conjugate of {self}")
-        cols = [0] * self._parts[0]
-        for part in self._parts:
-            for j in range(part):
-                cols[j] += 1
+        # read from the bottom row up, row i adds columns up to its part, each i + 1 high
+        cols: list[int] = []
+        for i in range(len(self._parts) - 1, -1, -1):
+            cols.extend([i + 1] * (self._parts[i] - len(cols)))
         return Partition(cols)
 
     def is_p_regular(self, p: int) -> bool:
@@ -225,25 +226,27 @@ def enumerate_partitions(
             yield Partition((v, d - v)) if d - v else Partition((v,))
         return
 
-    def descend(remaining: int, maxpart: int, prefix: list[int]) -> Iterator[Partition]:
+    # copies of one part value the family allows; any number for "all"
+    cap = p - 1 if kind == "p_regular" else 1 if kind == "distinct" else None
+
+    def descend(remaining: int, top: int, run: int, prefix: list[int]) -> Iterator[Partition]:
+        """Every completion of prefix, whose last part top it holds run times."""
         if remaining == 0:
             yield Partition(prefix)
             return
-        top = min(remaining, maxpart)
-        for part in range(top, 0, -1):
-            if kind == "p_regular" and prefix:
-                # cap run length of equal parts at p - 1
-                run = 1
-                for prev in reversed(prefix):
-                    if prev == part:
-                        run += 1
-                    else:
-                        break
-                if run >= p:  # type: ignore[operator]
+        for part in range(min(remaining, top), 0, -1):
+            copies = run + 1 if part == top else 1
+            if cap is not None:
+                if copies > cap:
                     continue
-            nxt = part - 1 if kind == "distinct" else part
+                # the rest must fit in cap - copies more parts equal to part
+                # and cap parts of each smaller value
+                if remaining - part > (cap - copies) * part + cap * part * (part - 1) // 2:
+                    if part < top:
+                        break  # below top this reads remaining > cap * part * (part + 1) / 2
+                    continue
             prefix.append(part)
-            yield from descend(remaining - part, nxt, prefix)
+            yield from descend(remaining - part, part, copies, prefix)
             prefix.pop()
 
-    yield from descend(d, d if d else 0, [])
+    yield from descend(d, d, 0, [])

@@ -58,8 +58,8 @@ __all__ = [
 _SCHEMA = 1
 # cases one scan may hold: partitions of d, (lambda, mu) pairs for the Ext^1
 # scan, (a, b) pairs for the repeated twist; taking one more and refusing
-# costs at most about 0.15 s.  The slowest scan within it, persistence at
-# p = 2 and d = 59 (9,792 cases), takes about 8 s on a 2-core machine, and
+# costs at most about 0.1 s.  The slowest scan within it, persistence at
+# p = 2 and d = 59 (9,792 cases), takes about 4 s on a 2-core machine, and
 # census and the Ext^1 scan stay under 0.5 s
 _MAX_SCAN_CASES = 10_000
 

@@ -3,6 +3,7 @@ import random
 import numpy as np
 from hypothesis import strategies as st
 
+import twistlab.mullineux as mullineux_module
 from twistlab.partitions import Partition
 
 
@@ -51,6 +52,59 @@ def rref_with_transform(a: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray, 
 def rank(a, p):
     """Rank of a matrix over GF(p): the number of pivots of the oracle's reduced form."""
     return len(rref(a, p)[1])
+
+
+def partitions_by_prefix(d, kind="all", p=None):
+    """Oracle: the parts of each partition of d, in decreasing lexicographic order.
+
+    Every prefix is extended by every smaller part, the run of equal parts at
+    its end counted again for each candidate; nothing is pruned, so it checks
+    the library's bounded descent.  Plain tuples keep it cheap.
+    """
+    if kind == "two_part":
+        return [tuple(x for x in (v, d - v) if x) for v in range(d, (d - 1) // 2, -1)]
+    found = []
+
+    def descend(remaining, maxpart, prefix):
+        if remaining == 0:
+            found.append(tuple(prefix))
+            return
+        for part in range(min(remaining, maxpart), 0, -1):
+            if kind == "p_regular" and prefix:
+                run = 1
+                for prev in reversed(prefix):
+                    if prev != part:
+                        break
+                    run += 1
+                if run >= p:
+                    continue
+            prefix.append(part)
+            descend(remaining - part, part - 1 if kind == "distinct" else part, prefix)
+            prefix.pop()
+
+    descend(d, d, [])
+    return found
+
+
+def conjugate_by_cells(lam):
+    """Oracle: the conjugate of lam, one cell of the diagram at a time."""
+    cols = [0] * lam.part(0)
+    for part in lam.parts:
+        for j in range(part):
+            cols[j] += 1
+    return Partition(cols)
+
+
+def single_insertions(sym):
+    """Oracle: the partition of sym rebuilt one `_insert_raw` per column, last column first.
+
+    No run is walked and no period jumped, so it checks the walker's jumps.
+    """
+    nu = ()
+    for a, r, count in reversed(sym.runs):
+        for _ in range(count):
+            nu = mullineux_module._insert_raw(nu, a, r, sym.p)[0]
+    return Partition(nu)
 
 
 @st.composite

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 
 import twistlab.mullineux as mullineux_module
 
-from conftest import distinct_partitions, partitions, random_regular
+from conftest import distinct_partitions, partitions, random_regular, single_insertions
 from twistlab.errors import (
     HypothesisViolated,
     InvalidSymbol,
@@ -390,6 +390,17 @@ def symbol_runs(sym):
         i = start - 1
 
 
+def jump_cases(seed):
+    """Scaled shapes whose runs jump: the repeated-twist shape at 7^b and random ones at 3^b, 5^b."""
+    cases = [(REPEATED_TWIST_SHAPE, 7, b) for b in (1, 2, 3)]
+    rng = random.Random(seed)
+    for p in (3, 5):
+        for d in (12, 17, 23):
+            lam = random_regular(d, p, rng)
+            cases.extend((lam, p, b) for b in (1, 2, 3))
+    return cases
+
+
 def test_run_jumps_match_single_insertions(monkeypatch):
     # every run of a scaled shape's transformed symbol, rebuilt with period
     # jumps, must equal the same run done one verified insertion at a time
@@ -403,13 +414,7 @@ def test_run_jumps_match_single_insertions(monkeypatch):
         return ok
 
     monkeypatch.setattr(mullineux_module, "_cycle_strips_back", recording)
-    cases = [(REPEATED_TWIST_SHAPE, 7, b) for b in (1, 2, 3)]
-    rng = random.Random(4)
-    for p in (3, 5):
-        for d in (12, 17, 23):
-            lam = random_regular(d, p, rng)
-            cases.extend((lam, p, b) for b in (1, 2, 3))
-    for lam, p, b in cases:
+    for lam, p, b in jump_cases(4):
         big = lam.scale(p**b)
         sym = mullineux_module.transform_symbol(mullineux_symbol(big, p))
         nu = ()
@@ -468,13 +473,7 @@ def test_strip_jumps_match_single_strips(monkeypatch):
         return ok
 
     monkeypatch.setattr(mullineux_module, "_cycle_strips_back", recording)
-    cases = [(REPEATED_TWIST_SHAPE, 7, b) for b in (1, 2, 3)]
-    rng = random.Random(5)
-    for p in (3, 5):
-        for d in (12, 17, 23):
-            lam = random_regular(d, p, rng)
-            cases.extend((lam, p, b) for b in (1, 2, 3))
-    for lam, p, b in cases:
+    for lam, p, b in jump_cases(5):
         big = lam.scale(p**b)
         columns = single_strip_columns(big, p)
         runs = tuple((a, r, len(list(g))) for (a, r), g in groupby(columns))
@@ -510,6 +509,39 @@ def test_columns_match_single_strips_exhaustive():
                     sym = mullineux_symbol(big, p)
                     assert sym.columns == single_strip_columns(big, p), (lam, p, b)
                     assert sym.size == big.size
+
+
+def test_jumps_match_single_insertions_exhaustive():
+    for p in (2, 3, 5):
+        for d in range(1, 13):
+            for lam in enumerate_partitions(d, "p_regular", p):
+                for b in range(3):
+                    big = lam.scale(p**b)
+                    sym = mullineux_module.transform_symbol(mullineux_symbol(big, p))
+                    assert mullineux_map(big, p) == single_insertions(sym), (lam, p, b)
+
+
+def test_jump_guard_is_a_necessary_condition(monkeypatch):
+    # _cycle_jump is tried only when the newest profile occurred q_min steps
+    # back and 2 * q_min steps fit ahead: a jump of two or more cycles of a
+    # period q >= q_min needs both, so the guard skips only calls that cannot jump
+    calls = []
+    cycle_jump = mullineux_module._cycle_jump
+
+    def checked(state, history, p, left, sign, periods):
+        before = history[:-1]
+        assert history[-1] in before
+        q_min = len(before) - max(i for i, prof in enumerate(before) if prof == history[-1])
+        ahead = left if sign > 0 else state[-1] - 1
+        assert 2 * q_min <= min(ahead, len(history))
+        assert periods.start == q_min
+        calls.append(sign)
+        return cycle_jump(state, history, p, left, sign, periods)
+
+    monkeypatch.setattr(mullineux_module, "_cycle_jump", checked)
+    for lam, p, b in jump_cases(4) + jump_cases(5):
+        mullineux_map(lam.scale(p**b), p)  # strips, then inserts
+    assert {1, -1} <= set(calls)
 
 
 def test_slow_cycles_stop_at_the_step_cap(monkeypatch):

@@ -3,7 +3,7 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, settings
 
-from conftest import partitions
+from conftest import conjugate_by_cells, partitions, partitions_by_prefix
 from twistlab.errors import (
     NonPartitionDifference,
     NotDistinctParts,
@@ -67,6 +67,28 @@ def test_conjugate_known_values():
     assert Partition((4, 2, 1)).conjugate().parts == (3, 2, 1, 1)
     assert Partition((5,)).conjugate().parts == (1, 1, 1, 1, 1)
     assert Partition(()).conjugate().parts == ()
+
+
+def test_conjugate_matches_the_cell_by_cell_oracle():
+    for d in range(21):
+        for lam in enumerate_partitions(d):
+            assert lam.conjugate() == conjugate_by_cells(lam), lam
+
+
+def test_conjugate_of_a_wide_block():
+    # the conjugate reads 300 rows and 100,000 columns, not the 3 * 10^7 cells
+    conj = Partition((100000,) * 300).conjugate()
+    assert conj.parts == (300,) * 100000
+
+
+def test_enumeration_matches_the_unpruned_recursion():
+    for d in range(40):
+        for kind in ("all", "distinct", "two_part"):
+            found = [lam.parts for lam in enumerate_partitions(d, kind)]
+            assert found == partitions_by_prefix(d, kind), (d, kind)
+        for p in (2, 3, 5):
+            found = [lam.parts for lam in enumerate_partitions(d, "p_regular", p)]
+            assert found == partitions_by_prefix(d, "p_regular", p), (d, p)
 
 
 def test_enumeration_matches_recurrence():
