@@ -81,14 +81,6 @@ class MullineuxSymbol:
         return tuple(chain.from_iterable(repeat((a, r), n) for a, r, n in self.runs))
 
     @property
-    def top(self) -> tuple[int, ...]:
-        return tuple(a for a, _ in self.columns)
-
-    @property
-    def bottom(self) -> tuple[int, ...]:
-        return tuple(r for _, r in self.columns)
-
-    @property
     def size(self) -> int:
         return sum(a * n for a, _, n in self.runs)
 

@@ -7,17 +7,18 @@ and returns a :class:`SearchReport`.  Certificates are stored inline (the
 recomputed images, quotients, or digit witnesses) so a report can be audited
 without rerunning the scan.
 
-Every scan is its cases, a visitor of one case and one driver, ``_scan``.
-The cases are an iterable: the p-regular partitions of d, the ordered
-two-row pairs of d, the exponent pairs (a, b) of the repeated twist, or all
-partitions of d for the census.  The driver takes at most
-``_MAX_SCAN_CASES`` + 1 of them before the first visit and refuses a family
-that had more with TooLarge, so a scan holds what it visits and the budget
-counts what it holds.  It then visits the held cases in order and
-concatenates what the visitor returns for each.  The census visits its held
-partitions at once, grouping them into blocks.  ``_SCANS`` names every scan
-once, by the name of its function here, for the command line and the
-fixture checker, which look the function up each time they run it.
+Every scan is its cases and a judge, run by one function, ``_scan``.  It
+takes at most ``_MAX_SCAN_CASES`` + 1 cases (partitions of d, two-row
+pairs of d or exponent pairs (a, b)) before judging any and refuses a family
+that had more with TooLarge, so the budget counts what a scan holds.  The
+census groups its held partitions into blocks.  Every other scan is a twist
+scan, an invariant and a relation on a case's twist ladder: the invariant
+(the Mullineux map, or Ext^1 of a pair) at p^a times the case, each rung
+computed at most once, when the relation first reads it.  The repeated
+twist reads one ladder for all its exponent pairs.  A twist scan refuses a p
+that is not prime before it takes a case.  ``_SCANS`` names every scan once,
+by the name of its function here; the command line and the fixture checker
+look it up each time they run it, and a twist scan reads its invariant here.
 
 Reports are deterministic: identical parameters yield byte-identical bodies.
 Wall-clock time lives outside the body, in :attr:`SearchReport.elapsed`.
@@ -28,9 +29,9 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field
-from functools import cache, partial
+from functools import partial
 from itertools import combinations, islice
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Tuple
 
 from . import __version__
 from .abacus import block_census
@@ -68,6 +69,8 @@ Hit = Dict[str, Any]
 Visit = Tuple[List[Hit], List[Hit]]
 # what judges the held cases: every hit and counterexample, in case order
 Judge = Callable[[List[Any]], Visit]
+# a case's twist ladder: rungs(a) is the scan's invariant at p^a times the case
+Rungs = Callable[[int], Any]
 
 
 @dataclass(frozen=True)
@@ -138,27 +141,29 @@ def _each(visit: Callable[[Any], Visit]) -> Judge:
     return judge
 
 
-def _p_regular_scan(search: str, visit: Callable[[Partition, int], Visit], d: int,
-                    p: int) -> SearchReport:
-    """Visit the p-regular partitions of d in enumeration order."""
-    return _scan(search, {"d": d, "p": p}, enumerate_partitions(d, "p_regular", p),
-                 _each(lambda lam: visit(lam, p)))
+def _twists(invariant: Callable[..., Any], case: Tuple[Partition, ...], p: int) -> Rungs:
+    """The twist ladder of a case: a -> invariant(p^a * case, p), each rung once, on first use."""
+    rungs: Dict[int, Any] = {}  # not functools.cache, whose wrapper per case slowed ks-stability
+    def rung(a: int) -> Any:
+        if a not in rungs:
+            rungs[a] = invariant(*(lam.scale(p**a) if a else lam for lam in case), p)
+        return rungs[a]
+    return rung
 
 
-def _commutes(lam: Partition, p: int) -> Optional[Tuple[Partition, Partition]]:
-    """m(lam) and m(p*lam) when m(p*lam) = p*m(lam), else None."""
-    image = mullineux_map(lam, p)
-    twisted = mullineux_map(lam.scale(p), p)
-    return (image, twisted) if twisted == image.scale(p) else None
+def _twist_scan(search: str, parameters: Dict[str, Any], cases: Iterable[Tuple[Partition, ...]],
+                invariant: Callable[..., Any], relation: Callable[..., Visit]) -> SearchReport:
+    """Judge each case by relation(case, its twist ladder, p); NotPrime before any case."""
+    p = parameters["p"]
+    check_prime(p)
+    return _scan(search, parameters, cases,
+                 _each(lambda case: relation(case, _twists(invariant, case, p), p)))
 
 
-def _visit_fixed_point(lam: Partition, p: int) -> Visit:
-    found = _commutes(lam, p)
-    if found is None:
+def _fixed_point(case: Tuple[Partition], m: Rungs, p: int) -> Visit:
+    if m(0) != m(1).divide(p):
         return [], []
-    image, twisted = found
-    hit = {"lambda": _parts(lam), "m_lambda": _parts(image), "m_p_lambda": _parts(twisted)}
-    return [hit], []
+    return [{"lambda": _parts(case[0]), "m_lambda": _parts(m(0)), "m_p_lambda": _parts(m(1))}], []
 
 
 def find_twist_commuting(d: int, p: int) -> SearchReport:
@@ -167,17 +172,15 @@ def find_twist_commuting(d: int, p: int) -> SearchReport:
     A hit is a partition lam with m(p*lam) = p*m(lam); both images are stored
     so the identity can be rechecked from the report alone.
     """
-    return _p_regular_scan("fixed-points", _visit_fixed_point, d, p)
+    cases = zip(enumerate_partitions(d, "p_regular", p))  # each partition as a 1-tuple
+    return _twist_scan("fixed-points", {"d": d, "p": p}, cases, mullineux_map, _fixed_point)
 
 
-def _visit_persistence(lam: Partition, p: int) -> Visit:
-    found = _commutes(lam, p)
-    if found is None:
+def _persistence(case: Tuple[Partition], m: Rungs, p: int) -> Visit:
+    if m(0) != m(1).divide(p):
         return [], []
-    once = found[1]
-    twice = mullineux_map(lam.scale(p * p), p)
-    record = {"lambda": _parts(lam), "m_p_lambda": _parts(once), "m_p2_lambda": _parts(twice)}
-    return ([record], []) if twice == once.scale(p) else ([], [record])
+    record = {"lambda": _parts(case[0]), "m_p_lambda": _parts(m(1)), "m_p2_lambda": _parts(m(2))}
+    return ([record], []) if m(1) == m(2).divide(p) else ([], [record])
 
 
 def check_twist_persistence(d: int, p: int) -> SearchReport:
@@ -187,15 +190,15 @@ def check_twist_persistence(d: int, p: int) -> SearchReport:
     the hits also satisfy m(p^2*lam) = p*m(p*lam) and the counterexamples do
     not.  The counterexample list is expected to be empty.
     """
-    return _p_regular_scan("persistence", _visit_persistence, d, p)
+    cases = zip(enumerate_partitions(d, "p_regular", p))
+    return _twist_scan("persistence", {"d": d, "p": p}, cases, mullineux_map, _persistence)
 
 
-def _visit_p_image(lam: Partition, p: int) -> Visit:
-    twisted = mullineux_map(lam.scale(p), p)
-    tau = twisted.divide(p)
+def _p_image(case: Tuple[Partition], m: Rungs, p: int) -> Visit:
+    tau = m(1).divide(p)
     if tau is None:
         return [], []
-    return [{"lambda": _parts(lam), "m_p_lambda": _parts(twisted), "tau": _parts(tau)}], []
+    return [{"lambda": _parts(case[0]), "m_p_lambda": _parts(m(1)), "tau": _parts(tau)}], []
 
 
 def find_p_image(d: int, p: int) -> SearchReport:
@@ -204,7 +207,8 @@ def find_p_image(d: int, p: int) -> SearchReport:
     Each hit stores the quotient tau = m(p*lam)/p as its certificate.  This
     is strictly weaker than twist commuting, so those hits always reappear.
     """
-    return _p_regular_scan("p-image", _visit_p_image, d, p)
+    cases = zip(enumerate_partitions(d, "p_regular", p))
+    return _twist_scan("p-image", {"d": d, "p": p}, cases, mullineux_map, _p_image)
 
 
 def multi_twist_scan(lam: Partition, p: int, max_b: int) -> SearchReport:
@@ -221,14 +225,11 @@ def multi_twist_scan(lam: Partition, p: int, max_b: int) -> SearchReport:
     # p^64 > 2^63 for every p >= 2, so the cap leaves the answer as it is
     if lam and lam.part(0) * p ** min(max_b, 64) > _PART_MAX:
         raise Overflow(f"p^{max_b} * {lam} exceeds 64-bit parts")
-
-    @cache  # each image once, in the order the pairs first need it
-    def image(a: int) -> Partition:
-        return mullineux_map(lam.scale(p**a), p)
+    m = _twists(mullineux_map, (lam,), p)  # one ladder, shared by every pair
 
     def visit(pair: Tuple[int, int]) -> Visit:
         a, b = pair
-        low, high = image(a), image(b)
+        low, high = m(a), m(b)
         try:
             diff = high - low
         except NonPartitionDifference:
@@ -242,12 +243,9 @@ def multi_twist_scan(lam: Partition, p: int, max_b: int) -> SearchReport:
     return _scan("multi-twist", parameters, combinations(range(1, max_b + 1), 2), _each(visit))
 
 
-def _visit_ks(pair: Tuple[Partition, Partition], p: int) -> Visit:
-    lam, mu = pair
-    plain = ks_ext1(p, lam, mu)
-    once = ks_ext1(p, lam.scale(p), mu.scale(p))
-    twice = ks_ext1(p, lam.scale(p * p), mu.scale(p * p))
-    record = {"lambda": _parts(lam), "mu": _parts(mu)}
+def _ks_stability(case: Tuple[Partition, Partition], ext1: Rungs, p: int) -> Visit:
+    plain, once, twice = ext1(0), ext1(1), ext1(2)
+    record = {"lambda": _parts(case[0]), "mu": _parts(case[1])}
     changed = [{**record, "untwisted": plain, "once": once}] if plain != once else []
     unstable = [{**record, "once": once, "twice": twice}] if once != twice else []
     return changed, unstable
@@ -263,7 +261,8 @@ def ks_stability_scan(d: int, p: int) -> SearchReport:
     # the pairs in product order, but lazy: a huge d costs only the pairs taken
     family = partial(enumerate_partitions, d, "two_part")
     pairs = ((lam, mu) for lam in family() for mu in family())
-    return _scan("ks-stability", {"d": d, "p": p}, pairs, _each(lambda pair: _visit_ks(pair, p)))
+    return _twist_scan("ks-stability", {"d": d, "p": p}, pairs,
+                       lambda lam, mu, p: ks_ext1(p, lam, mu), _ks_stability)
 
 
 def census(d: int, p: int) -> SearchReport:

@@ -83,9 +83,11 @@ def test_bad_primes_exit_one(capsys, argv, error):
         ("search census --p 0 --d 4", "HypothesisViolated"),
         ("search census --p 1 --d 4", "HypothesisViolated"),
         ("search census --p 3 --d -1", "HypothesisViolated"),
-        ("search fixed-points --p 1 --d 4", "HypothesisViolated"),
+        ("search fixed-points --p 1 --d 4", "NotPrime"),
+        ("search fixed-points --p 4 --d 100", "NotPrime"),
         ("search fixed-points --p 5 --d -2", "HypothesisViolated"),
-        ("search p-image --p 1 --d 4", "HypothesisViolated"),
+        ("search p-image --p 1 --d 4", "NotPrime"),
+        ("search ks-stability --p 9 --d 1000", "NotPrime"),
         ("tau --p 5 --n 0", "HypothesisViolated"),
         ("tau --p 5 --n -3", "HypothesisViolated"),
         ("search multi-twist --p 5 --lambda 2,1 --max-b 1", "HypothesisViolated"),

@@ -89,11 +89,10 @@ def test_symbol_example():
 def test_symbol_columns_stop_at_the_column_budget(monkeypatch):
     sym = mullineux_symbol(Partition((15, 15)), 5)
     monkeypatch.setattr(mullineux_module, "_MAX_SYMBOL_COLUMNS", 6)
-    assert sym.top == (5,) * 6 and sym.bottom == (2,) * 6
+    assert sym.columns == ((5, 2),) * 6
     monkeypatch.setattr(mullineux_module, "_MAX_SYMBOL_COLUMNS", 5)
-    for written_out in ("columns", "top", "bottom"):
-        with pytest.raises(TooLarge, match="6 columns in 1 runs"):
-            getattr(sym, written_out)
+    with pytest.raises(TooLarge, match="6 columns in 1 runs"):
+        sym.columns
     assert sym.size == 30  # read off the runs, never written out
 
 
@@ -447,6 +446,22 @@ def test_deep_twist_jumps_whole_periods(monkeypatch):
     assert len(calls) < 2000
     # the period jumps leave 578 single insertions; more means a jump was lost
     assert len(calls) <= 578
+
+
+@pytest.mark.parametrize("lam, singles", [((8,), 2), ((16, 8), 4)])
+def test_jumps_that_fit_exactly_are_taken(monkeypatch, lam, singles):
+    # at p = 2 these runs have period 1 and reach room = 2 * q_min; a guard
+    # that skipped the jump of exactly two cycles would double the insertions
+    calls = []
+    insert_raw = mullineux_module._insert_raw
+
+    def counting(mu, a, r, p):
+        calls.append(a)
+        return insert_raw(mu, a, r, p)
+
+    monkeypatch.setattr(mullineux_module, "_insert_raw", counting)
+    assert mullineux_map(Partition(lam), 2) == Partition(lam)
+    assert len(calls) == singles
 
 
 def single_strip_columns(lam, p):

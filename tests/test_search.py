@@ -131,3 +131,29 @@ def test_scans_stop_at_the_case_budget(monkeypatch, scan, d, p, cases):
     monkeypatch.setattr(search_module, "_MAX_SCAN_CASES", cases - 1)
     with pytest.raises(TooLarge, match="visits more than the limit"):
         scan(d, p)
+
+
+@pytest.mark.parametrize(
+    "invariant, scan, args, calls",
+    [
+        ("mullineux_map", find_p_image, (12, 3), 36),  # m(p lam) for each of 36 cases
+        ("mullineux_map", find_twist_commuting, (12, 3), 72),  # m(lam) and m(p lam)
+        ("mullineux_map", check_twist_persistence, (12, 3), 82),  # and m(p^2 lam) for 10
+        ("ks_ext1", ks_stability_scan, (20, 3), 363),  # three rungs for each of 121 pairs
+        ("mullineux_map", multi_twist_of_21, (3, 5), 3),  # one ladder for the pairs of 1..3
+    ],
+)
+def test_scans_compute_each_rung_once_when_read(monkeypatch, invariant, scan, args, calls):
+    # the scans look their invariant up in the module as they run, so a
+    # rebinding there sees every call; a rung computed eagerly or twice shows
+    original = getattr(search_module, invariant)
+    seen = []
+
+    def counting(*call):
+        seen.append(call)
+        return original(*call)
+
+    monkeypatch.setattr(search_module, invariant, counting)
+    scan(*args)
+    assert len(seen) == calls
+    assert len(set(seen)) == calls
