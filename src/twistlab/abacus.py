@@ -107,14 +107,15 @@ def from_abacus(display: AbacusDisplay) -> Partition:
     return Partition(display.beta[i] - (b - 1 - i) for i in range(b))
 
 
-def p_core(lam: Partition, p: int, beads: Optional[int] = None) -> BlockData:
+def p_core(lam: Partition, p: int) -> BlockData:
     """Slide every bead maximally down its runner.
 
     Returns the resulting core partition together with the number of
-    single-gap slides performed, which is the p-weight of lam.  The answer
-    does not depend on the bead count.
+    single-gap slides performed, which is the p-weight of lam.  Neither
+    depends on the bead count, so lam is read on len(lam) beads, the fewest
+    that hold it: the work grows with the rows of lam, not with p.
     """
-    display = to_abacus(lam, p, beads)
+    display = to_abacus(lam, p, len(lam))
     slid: list[int] = []
     weight = 0
     # the k-th lowest bead of a runner slides to level k; only runners that

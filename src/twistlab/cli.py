@@ -130,7 +130,7 @@ def _cmd_symbol(args: argparse.Namespace) -> Payload:
 
 def _cmd_abacus(args: argparse.Namespace) -> Payload:
     display = to_abacus(args.lam, args.p, args.beads)
-    block = p_core(args.lam, args.p, args.beads)
+    block = p_core(args.lam, args.p)
     for row in display.picture():
         print(row, file=sys.stderr)
     return {
@@ -241,9 +241,9 @@ def _eval_fixture(fx: Dict[str, Any]) -> Any:
         out: Dict[str, Any] = {}
         if "invariants" in wanted:
             out["invariants"] = h0_dim(lam, p)
-        if "mu" in inputs or wanted.keys() - {"invariants"}:
+        if wanted.keys() - {"invariants"}:
             module = build_specht(lam, p)
-            if "mu" in inputs:
+            if "hom_dim" in wanted:
                 out["hom_dim"] = hom_dim(module, build_specht(Partition(inputs["mu"]), p))
             if "decomposable" in wanted:
                 out["decomposable"] = is_decomposable(module)
@@ -331,6 +331,10 @@ def _check_fixture(fx: Any, index: int) -> None:
                 f"fixture {label}: 'expected' must be a non-empty dict with keys from"
                 f" {', '.join(allowed)}"
             )
+        if kind == "specht" and ("mu" in inputs) != ("hom_dim" in expected):
+            raise TwistlabError(
+                f"fixture {label}: a specht fixture takes 'mu' exactly when it expects 'hom_dim'"
+            )
         for key in sorted(expected.keys() & _HIT_FIELDS.keys()):
             if inputs["search"] not in _HIT_FIELDS[key]:
                 raise TwistlabError(f"fixture {label}: a {inputs['search']} search has no {key!r}")
@@ -353,14 +357,14 @@ def _cmd_verify(args: argparse.Namespace) -> Payload:
             raise TwistlabError(f"fixtures parse error at line {exc.lineno}: {exc.msg}")
     if not isinstance(fixtures, list):
         raise TwistlabError("fixtures file must hold a JSON list")
+    seen = set()
     for index, fx in enumerate(fixtures):
         _check_fixture(fx, index)
-    seen = set()
-    failures = []
-    for fx in fixtures:
         if fx["id"] in seen:
             raise TwistlabError(f"duplicate fixture id {fx['id']!r}")
         seen.add(fx["id"])
+    failures = []
+    for fx in fixtures:
         try:
             got = _eval_fixture(fx)
         except TwistlabError as exc:

@@ -19,7 +19,7 @@ formulas are tested against live in :mod:`twistlab.specht`.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -164,12 +164,6 @@ def _overlap_products(d: int, r: int) -> np.ndarray:
     return table
 
 
-def _overlap_mult(u: Sequence[int], w: Sequence[int], table: np.ndarray) -> tuple[int, ...]:
-    """The product u w in the overlap algebra, u and w as GF(2) coefficient tuples."""
-    terms = table[:, np.flatnonzero(u)][:, :, np.flatnonzero(w)]
-    return tuple(int(x) for x in terms.sum(axis=(1, 2)) % 2)
-
-
 def murphy_summand_count(d: int, r: int) -> int:
     """Number of indecomposable summands of S^(d-r, 1^r) at p = 2.
 
@@ -189,22 +183,18 @@ def murphy_summand_count(d: int, r: int) -> int:
     if r > _MAX_SUMMAND_LEG:
         raise TooLarge(f"leg r={r} of the hook is over the limit of {_MAX_SUMMAND_LEG}")
     table = _overlap_products(d % (1 << r.bit_length()), r)
-    m = r + 1
-    basis = [tuple(int(t == i) for t in range(m)) for i in range(m)]
-    proj = tuple(((1 + r) & 1 if t == r else int(t == r - 1)) for t in range(m))
-    if _overlap_mult(proj, proj, table) != proj:
+    proj = np.zeros(r + 1, dtype=np.uint8)
+    proj[r - 1], proj[r] = 1, (1 + r) & 1
+    # table[k, i, j] is the coefficient of T_k in T_i T_j, so column i of
+    # square holds T_i T_i and column i of against holds T_i proj
+    square = table.diagonal(axis1=1, axis2=2)
+    against = table @ proj % 2
+    if not np.array_equal(against @ proj % 2, proj):
         raise AssertionError(f"projector fails to square to itself at d={d}, r={r}")
-    # x -> x*x and x -> x*proj + x are both linear; stack them so the
+    # x -> x*x + x and x -> x*proj + x are both linear; stack them so the
     # kernel is exactly the subordinate idempotents of proj.
-    rows = []
-    for e in basis:
-        square = _overlap_mult(e, e, table)
-        against = _overlap_mult(e, proj, table)
-        rows.append(
-            [a ^ b for a, b in zip(square, e)] + [a ^ b for a, b in zip(against, e)]
-        )
-    stacked = np.array(rows, dtype=np.int64).T
-    return int(nullspace(stacked, 2).shape[0])
+    identity = np.eye(r + 1, dtype=np.uint8)
+    return int(nullspace(np.vstack([square ^ identity, against ^ identity]), 2).shape[0])
 
 
 def murphy_indecomposable(d: int, r: int) -> bool:

@@ -49,6 +49,7 @@ def test_too_many_beads():
     with pytest.raises(TooLarge):
         to_abacus(Partition((3, 2, 1)), 3, beads=_MAX_BEADS + 1)
     # past the limit the default bead count is the length, not a multiple of p
+    assert to_abacus(Partition((1,)), _MAX_BEADS + 1).beads == 1
     assert p_core(Partition((1,)), _MAX_BEADS + 1).core == Partition((1,))
     with pytest.raises(TooLarge):
         p_core(Partition((1,) * (_MAX_BEADS + 1)), 2)
@@ -67,8 +68,9 @@ def test_picture_is_cut_at_a_fixed_size():
 
 
 def test_core_with_a_huge_prime_and_few_beads():
+    # lam is read on its two rows, so a prime far past the bead limit costs nothing
     lam = Partition((3, 1))
-    assert p_core(lam, 10**9 + 7, beads=2) == p_core_by_stripping(lam, 10**9 + 7)
+    assert p_core(lam, 10**9 + 7) == p_core_by_stripping(lam, 10**9 + 7)
 
 
 def test_core_weight_small_values():
@@ -78,19 +80,9 @@ def test_core_weight_small_values():
     assert p_core(Partition((2, 1)), 3).weight == 1  # (2,1) is a single 3-hook
 
 
-def test_core_is_bead_count_independent():
-    lam = Partition((6, 4, 4, 2, 1))
-    for p in (2, 3, 5):
-        base = p_core(lam, p)
-        for extra in (1, 2, 5):
-            shifted = p_core(lam, p, beads=default_beads(lam, p) + extra)
-            assert shifted.core == base.core
-            assert shifted.weight == base.weight
-
-
 def test_slide_agrees_with_rim_stripping():
     for d in range(1, 11):
-        for p in (2, 3, 5):
+        for p in (2, 3, 5, 99991):
             for lam in enumerate_partitions(d, "all"):
                 assert p_core(lam, p) == p_core_by_stripping(lam, p)
 

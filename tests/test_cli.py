@@ -623,6 +623,10 @@ def test_verify_rejects_malformed_fixtures(tmp_path, capsys, fixtures, named):
           "expected": {"pairs": []}}, "a census search has no 'pairs'"),
         ({"kind": "search", "inputs": {"search": "multi-twist", "lambda": [2, 1], "p": 5,
           "max_b": 3}, "expected": {"hit_lambdas": []}}, "a multi-twist search has no"),
+        ({"kind": "specht", "inputs": {"p": 2, "lambda": [3, 1, 1], "mu": [3, 1, 1]},
+          "expected": {"end_dim": 2}}, "takes 'mu' exactly when it expects 'hom_dim'"),
+        ({"kind": "specht", "inputs": {"p": 2, "lambda": [3, 1, 1]},
+          "expected": {"hom_dim": 2}}, "takes 'mu' exactly when it expects 'hom_dim'"),
     ],
 )
 def test_verify_checks_input_types_per_kind(tmp_path, capsys, fixture, complaint):
@@ -632,6 +636,21 @@ def test_verify_checks_input_types_per_kind(tmp_path, capsys, fixture, complaint
     assert (code, out) == (1, "")
     assert err.startswith("TwistlabError: fixture 'typed': ")
     assert complaint in err
+
+
+def test_verify_refuses_a_repeated_id_before_any_fixture_runs(tmp_path, capsys):
+    tau_5 = {"kind": "tau", "inputs": {"p": 3, "n": 5}, "expected": [2, 2, 1]}
+    fixtures = [
+        {"id": "a", **tau_5},
+        {"id": "b", "kind": "search", "inputs": {"search": "persistence", "d": 8, "p": 3},
+         "expected": {"hit_count": 6}},
+        {"id": "a", **tau_5},
+    ]
+    path = tmp_path / "fx.json"
+    path.write_text(json.dumps(fixtures))
+    code, out, err = run_cli(capsys, "verify", str(path))
+    assert (code, out) == (1, "")
+    assert err == "TwistlabError: duplicate fixture id 'a'\n"
 
 
 def test_verify_names_the_fixture_a_domain_error_came_from(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -82,6 +83,16 @@ def test_census_blocks_are_a_partition_of_the_level():
     members = [tuple(m) for h in report.hits for m in h["members"]]
     assert len(members) == len(set(members)) == 11
     assert report.scanned == 11
+
+
+def test_census_with_a_huge_prime_is_quick():
+    start = time.monotonic()
+    report = census(20, 99991)
+    elapsed = time.monotonic() - start
+    # no partition of 20 holds a 99991-hook: each is a core in a block of its own
+    assert report.scanned == len(report.hits) == 627
+    assert all(h["weight"] == 0 and h["members"] == [h["core"]] for h in report.hits)
+    assert elapsed < 1.0
 
 
 def test_report_round_trips_through_json():
