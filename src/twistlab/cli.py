@@ -7,6 +7,8 @@ counterexample, 64 bad usage.
 
 One table, ``_COMMANDS``, declares every command, the ``search`` scans
 generated from ``_SCANS``; one loop builds the parser, once per process.
+A row also names the fixture kind it answers, so ``verify`` runs each fixture
+through its command's handler; a new invariant is one row plus its function.
 """
 
 from __future__ import annotations
@@ -18,7 +20,8 @@ import io
 import json
 import sys
 from importlib import resources
-from typing import Any, Callable, Dict, Optional, Sequence, Tuple
+from pathlib import Path
+from typing import Any, Callable, Dict, NamedTuple, Optional, Sequence, Tuple
 
 from . import search
 from .abacus import is_p_by_p, p_core, to_abacus
@@ -42,7 +45,6 @@ from .partitions import Partition
 from .search import _SCANS, SearchReport, _parts
 from .specht import (
     build_specht,
-    end_ring,
     h0_dim,
     hom_dim,
     hook_length_dim,
@@ -51,8 +53,9 @@ from .specht import (
 
 USAGE_ERROR = 64
 
+Inputs = Dict[str, Any]  # by argument key, from the command line or a fixture
 Payload = Tuple[Any, int]
-Handler = Callable[[argparse.Namespace], Payload]
+Handler = Callable[[Inputs], Payload]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -90,29 +93,29 @@ def _symbol_rows(sym: MullineuxSymbol) -> Dict[str, list]:
 # ---------------------------------------------------------------- handlers
 
 
-def _cmd_mull(args: argparse.Namespace) -> Payload:
+def _cmd_mull(inputs: Inputs) -> Payload:
     # the map strips lambda into its symbol; strip once and map from it
-    sym = mullineux_symbol(args.lam, args.p)
+    sym = mullineux_symbol(inputs["lambda"], inputs["p"])
     payload: Dict[str, Any] = {
-        "p": args.p,
-        "input": _parts(args.lam),
+        "p": inputs["p"],
+        "input": _parts(inputs["lambda"]),
         "mullineux": _parts(reconstruct_from_symbol(transform_symbol(sym))),
     }
-    if args.show_symbol:
+    if inputs.get("show_symbol"):
         payload["symbol"] = _symbol_rows(sym)
     return payload, 0
 
 
-def _cmd_tau(args: argparse.Namespace) -> Payload:
-    return _parts(tau(args.n, args.p)), 0
+def _cmd_tau(inputs: Inputs) -> Payload:
+    return _parts(tau(inputs["n"], inputs["p"])), 0
 
 
-def _cmd_hat(args: argparse.Namespace) -> Payload:
-    hatted = args.lam.hat(args.p)
-    image, expected = mullineux_map(hatted, args.p), args.lam.scale(args.p - 1)
+def _cmd_hat(inputs: Inputs) -> Payload:
+    hatted = inputs["lambda"].hat(inputs["p"])
+    image, expected = mullineux_map(hatted, inputs["p"]), inputs["lambda"].scale(inputs["p"] - 1)
     return {
-        "p": args.p,
-        "lambda": _parts(args.lam),
+        "p": inputs["p"],
+        "lambda": _parts(inputs["lambda"]),
         "hat": _parts(hatted),
         "mullineux_of_hat": _parts(image),
         "expected": _parts(expected),
@@ -120,61 +123,62 @@ def _cmd_hat(args: argparse.Namespace) -> Payload:
     }, 0
 
 
-def _cmd_symbol(args: argparse.Namespace) -> Payload:
+def _cmd_symbol(inputs: Inputs) -> Payload:
     return {
-        "p": args.p,
-        "lambda": _parts(args.lam),
-        **_symbol_rows(mullineux_symbol(args.lam, args.p)),
+        "p": inputs["p"],
+        "lambda": _parts(inputs["lambda"]),
+        **_symbol_rows(mullineux_symbol(inputs["lambda"], inputs["p"])),
     }, 0
 
 
-def _cmd_abacus(args: argparse.Namespace) -> Payload:
-    display = to_abacus(args.lam, args.p, args.beads)
-    block = p_core(args.lam, args.p)
+def _cmd_abacus(inputs: Inputs) -> Payload:
+    display = to_abacus(inputs["lambda"], inputs["p"], inputs["beads"])
+    block = p_core(inputs["lambda"], inputs["p"])
     for row in display.picture():
         print(row, file=sys.stderr)
     return {
-        "p": args.p,
-        "lambda": _parts(args.lam),
+        "p": inputs["p"],
+        "lambda": _parts(inputs["lambda"]),
         "beta": list(display.beta),
         "core": _parts(block.core),
         "weight": block.weight,
-        "p_by_p": is_p_by_p(args.lam, args.p),
+        "p_by_p": is_p_by_p(inputs["lambda"], inputs["p"]),
     }, 0
 
 
-def _cmd_ks_ext(args: argparse.Namespace) -> Payload:
-    witness = ks_ext1_witness(args.p, args.lam, args.mu)
+def _cmd_ks_ext(inputs: Inputs) -> Payload:
+    witness = ks_ext1_witness(inputs["p"], inputs["lam"], inputs["mu"])
     return {
-        "inputs": {"p": args.p, "lam": _parts(args.lam), "mu": _parts(args.mu)},
+        "inputs": {"p": inputs["p"], "lam": _parts(inputs["lam"]), "mu": _parts(inputs["mu"])},
         "result": 0 if witness is None else 1,
         "certificate": witness,
     }, 0
 
 
-def _cmd_murphy(args: argparse.Namespace) -> Payload:
+def _cmd_murphy(inputs: Inputs) -> Payload:
     return {
-        "inputs": {"d": args.d, "r": args.r},
+        "inputs": {"d": inputs["d"], "r": inputs["r"]},
         "result": {
-            "end_dim": murphy_end_dim(args.d, args.r),
-            "indecomposable": murphy_indecomposable(args.d, args.r),
+            "end_dim": murphy_end_dim(inputs["d"], inputs["r"]),
+            "indecomposable": murphy_indecomposable(inputs["d"], inputs["r"]),
         },
-        "certificate": {"summands": murphy_summand_count(args.d, args.r)},
+        "certificate": {"summands": murphy_summand_count(inputs["d"], inputs["r"])},
     }, 0
 
 
-def _cmd_h0(args: argparse.Namespace) -> Payload:
-    row = h0_failed_row(args.lam, args.p)
+def _cmd_h0(inputs: Inputs) -> Payload:
+    row = h0_failed_row(inputs["lambda"], inputs["p"])
     return {
-        "inputs": {"p": args.p, "lambda": _parts(args.lam)},
+        "inputs": {"p": inputs["p"], "lambda": _parts(inputs["lambda"])},
         "result": row is None,
         "certificate": row,
     }, 0
 
 
-def _cmd_specht_hom(args: argparse.Namespace) -> Payload:
-    a = build_specht(args.lam, args.p)
-    b = build_specht(args.mu, args.p)
+def _cmd_specht_hom(inputs: Inputs) -> Payload:
+    a = build_specht(inputs["lam"], inputs["p"])
+    # End of one module is read from its cached ring
+    b = a if inputs["mu"] == inputs["lam"] else build_specht(inputs["mu"], inputs["p"])
     return {
         "dims": [a.dim, b.dim],
         "result": hom_dim(a, b),
@@ -182,8 +186,8 @@ def _cmd_specht_hom(args: argparse.Namespace) -> Payload:
     }, 0
 
 
-def _cmd_specht_decomposable(args: argparse.Namespace) -> Payload:
-    module = build_specht(args.lam, args.p)
+def _cmd_specht_decomposable(inputs: Inputs) -> Payload:
+    module = build_specht(inputs["lambda"], inputs["p"])
     return {
         "dims": [module.dim],
         "result": is_decomposable(module),
@@ -191,107 +195,48 @@ def _cmd_specht_decomposable(args: argparse.Namespace) -> Payload:
     }, 0
 
 
-def _cmd_specht_h0(args: argparse.Namespace) -> Payload:
-    result = h0_dim(args.lam, args.p)
+def _cmd_specht_h0(inputs: Inputs) -> Payload:
+    result = h0_dim(inputs["lambda"], inputs["p"])
     return {
-        "dims": [hook_length_dim(args.lam)],
+        "dims": [hook_length_dim(inputs["lambda"])],
         "result": result,
         "method": "enumerated",
     }, 0
 
 
-def _run_scan(which: str, inputs: Dict[str, Any]) -> SearchReport:
-    name, keys = _SCANS[which]
+def _cmd_search(inputs: Inputs) -> Payload:
+    name, keys, _ = _SCANS[inputs["search"]]
     scan = getattr(search, name)  # at call time, so a wrapper on the module sees it
-    return scan(*(Partition(inputs[k]) if k == "lambda" else inputs[k] for k in keys))
-
-
-def _cmd_search(args: argparse.Namespace) -> Payload:
-    inputs = {**vars(args), "lambda": getattr(args, "lam", None)}
-    report = _run_scan(args.which, inputs)
+    report = scan(*(inputs[k] for k in keys))
     return report, 2 if report.counterexamples else 0
 
 
 # ---------------------------------------------------------------- fixtures
 
 
-def _eval_fixture(fx: Dict[str, Any]) -> Any:
-    kind = fx["kind"]
-    inputs = fx["inputs"]
-    if kind == "mull":
-        image = mullineux_map(Partition(inputs["lambda"]), inputs["p"])
-        if inputs.get("conjugate"):
-            image = image.conjugate()
-        return _parts(image)
-    if kind == "tau":
-        return _parts(tau(inputs["n"], inputs["p"]))
-    if kind == "ks":
-        lam, mu = Partition(inputs["lam"]), Partition(inputs["mu"])
-        return 0 if ks_ext1_witness(inputs["p"], lam, mu) is None else 1
-    if kind == "murphy":
-        d, r = inputs["d"], inputs["r"]
-        return {
-            "end_dim": murphy_end_dim(d, r),
-            "indecomposable": murphy_indecomposable(d, r),
-        }
-    if kind == "h0":
-        return h0_failed_row(Partition(inputs["lambda"]), inputs["p"]) is None
-    if kind == "specht":
-        p, lam, wanted = inputs["p"], Partition(inputs["lambda"]), fx["expected"]
-        out: Dict[str, Any] = {}
-        if "invariants" in wanted:
-            out["invariants"] = h0_dim(lam, p)
-        if wanted.keys() - {"invariants"}:
-            module = build_specht(lam, p)
-            if "hom_dim" in wanted:
-                out["hom_dim"] = hom_dim(module, build_specht(Partition(inputs["mu"]), p))
-            if "decomposable" in wanted:
-                out["decomposable"] = is_decomposable(module)
-            if "end_dim" in wanted:
-                out["end_dim"] = len(end_ring(module))
-        return out
-    # _check_fixture leaves no other kind than search
-    report = _run_scan(inputs["search"], inputs)
-    out = {"hit_count": len(report.hits), "counterexamples": len(report.counterexamples)}
-    if "pairs" in fx["expected"]:
-        out["pairs"] = sorted([h["a"], h["b"]] for h in report.hits)
-    if "hit_lambdas" in fx["expected"]:
-        out["hit_lambdas"] = [h["lambda"] for h in report.hits]
-    return {key: out[key] for key in fx["expected"]}
-
-
 def _is_int(value: Any) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-# what each fixture input must be, by name, whatever the kind
-_INPUT_TYPES: Dict[str, Tuple[str, Callable[[Any], bool]]] = {
-    **dict.fromkeys(("p", "n", "d", "r", "max_b"), ("an integer", _is_int)),
-    **dict.fromkeys(
-        ("lambda", "lam", "mu"),
-        ("a list of integers", lambda v: isinstance(v, list) and all(map(_is_int, v))),
-    ),
-    "conjugate": ("a boolean", lambda v: isinstance(v, bool)),
-    "search": ("a string", lambda v: isinstance(v, str)),
+# what a search fixture's expected keys read off its scan's report
+_REPORT_READS: Dict[str, Callable[[SearchReport], Any]] = {
+    "hit_count": lambda report: len(report.hits),
+    "counterexamples": lambda report: len(report.counterexamples),
+    "pairs": lambda report: sorted([h["a"], h["b"]] for h in report.hits),
+    "hit_lambdas": lambda report: [h["lambda"] for h in report.hits],
 }
-# fixture kind -> (required inputs, optional inputs); a search fixture also
-# needs the inputs of the scan it names
-_FIXTURE_INPUTS: Dict[str, Tuple[Tuple[str, ...], Tuple[str, ...]]] = {
-    "mull": (("lambda", "p"), ("conjugate",)),
-    "tau": (("n", "p"), ()),
-    "ks": (("p", "lam", "mu"), ()),
-    "murphy": (("d", "r"), ()),
-    "h0": (("lambda", "p"), ()),
-    "specht": (("lambda", "p"), ("mu",)),
-    "search": (("search",), ()),
-}
-# the keys an expected dict may hold, for the kinds that expect a dict
-_EXPECTED_KEYS = {
-    "specht": ("hom_dim", "decomposable", "invariants", "end_dim"),
-    "search": ("hit_count", "counterexamples", "pairs", "hit_lambdas"),
-}
-# the scans whose hits carry what a search fixture's pairs or hit_lambdas read
-_HIT_FIELDS = {"pairs": {"multi-twist"}, "hit_lambdas": set(_SCANS) - {"multi-twist", "census"}}
+
+
+def _routes(kind: str, which: Any) -> Dict[Optional[str], Tuple[str, Dict[str, str]]]:
+    """Expected key (None: all of it) -> the command that answers it, and the
+    fixture input that feeds each input key the fixture names otherwise."""
+    if kind == "search":
+        return {None: (f"search {which}", {})}
+    feeds = {"lam": "lambda"} if kind == "specht" else {}  # S^lambda is a specht fixture's lambda
+    routes = {row.expects: (name, feeds) for name, row in _COMMANDS.items() if row.kind == kind}
+    if kind == "specht":  # End is Hom with mu = lambda
+        routes["end_dim"] = ("specht hom", {**feeds, "mu": "lambda"})
+    return routes
 
 
 def _check_fixture(fx: Any, index: int) -> None:
@@ -305,45 +250,71 @@ def _check_fixture(fx: Any, index: int) -> None:
             raise TwistlabError(f"fixture {label}: {key!r} must be a {kind.__name__}")
     if "expected" not in fx:
         raise TwistlabError(f"fixture {label}: no 'expected' value")
-    kind, inputs = fx["kind"], fx["inputs"]
-    if kind not in _FIXTURE_INPUTS:
+    kind, inputs, expected = fx["kind"], fx["inputs"], fx["expected"]
+    if kind not in {row.kind for row in _COMMANDS.values()}:
         raise TwistlabError(f"fixture {label}: unknown fixture kind {kind!r}")
-    required, optional = _FIXTURE_INPUTS[kind]
-    if kind == "search":
-        which = inputs.get("search")
-        if not isinstance(which, str) or which not in _SCANS:
-            raise TwistlabError(f"fixture {label}: unknown search {which!r}")
-        required += _SCANS[which][1]
+    which = inputs.get("search")
+    if kind == "search" and (not isinstance(which, str) or which not in _SCANS):
+        raise TwistlabError(f"fixture {label}: unknown search {which!r}")
+    routes = _routes(kind, which)
+    # the fixture inputs each route reads, and those that every route reads
+    takes = [[feeds.get(k, k) for k in _COMMANDS[command].keys if _ARGS[k][2]]
+             for command, feeds in routes.values()]
+    everywhere = set(takes[0]).intersection(*takes)
     for key, value in inputs.items():
-        if key not in required + optional:
+        if kind == "search" and key == "search":
+            continue
+        if not any(key in read for read in takes):
             raise TwistlabError(f"fixture {label}: a {kind} fixture takes no input {key!r}")
-        what, holds = _INPUT_TYPES[key]
+        what, holds = _ARGS[key][2]
         if not holds(value):
             raise TwistlabError(f"fixture {label}: input {key!r} must be {what}")
-    for key in required:
-        if key not in inputs:
+    for key in takes[0]:  # an input that only fixtures give, with no flag, may be left out
+        if key in everywhere and _ARGS[key][0] and key not in inputs:
             raise TwistlabError(f"fixture {label}: missing input {key!r}")
-    if kind in _EXPECTED_KEYS:
-        allowed = _EXPECTED_KEYS[kind]
-        expected = fx["expected"]
-        if not isinstance(expected, dict) or not expected or not set(expected) <= set(allowed):
+    if None in routes and kind != "search":
+        return  # the expected value is compared whole
+    allowed = list(_REPORT_READS) if kind == "search" else list(routes)
+    if not isinstance(expected, dict) or not expected or not set(expected) <= set(allowed):
+        raise TwistlabError(
+            f"fixture {label}: 'expected' must be a non-empty dict with keys from"
+            f" {', '.join(allowed)}"
+        )
+    for key in sorted(set().union(*takes) - everywhere):
+        wanting = [e for e, read in zip(routes, takes) if key in read]
+        if (key in inputs) != any(e in expected for e in wanting):
             raise TwistlabError(
-                f"fixture {label}: 'expected' must be a non-empty dict with keys from"
-                f" {', '.join(allowed)}"
+                f"fixture {label}: a {kind} fixture takes {key!r} exactly when it expects"
+                f" {' or '.join(map(repr, wanting))}"
             )
-        if kind == "specht" and ("mu" in inputs) != ("hom_dim" in expected):
-            raise TwistlabError(
-                f"fixture {label}: a specht fixture takes 'mu' exactly when it expects 'hom_dim'"
-            )
-        for key in sorted(expected.keys() & _HIT_FIELDS.keys()):
-            if inputs["search"] not in _HIT_FIELDS[key]:
-                raise TwistlabError(f"fixture {label}: a {inputs['search']} search has no {key!r}")
+    if kind == "search":
+        others = {field for _, _, field in _SCANS.values()} - {None, _SCANS[which][2]}
+        for key in sorted(expected.keys() & others):
+            raise TwistlabError(f"fixture {label}: a {which} search has no {key!r}")
 
 
-def _cmd_verify(args: argparse.Namespace) -> Payload:
-    if args.file is not None:
+def _answer(fx: Dict[str, Any]) -> Any:
+    """A checked fixture's value, read off the payload of each command it runs."""
+    kind, expected = fx["kind"], fx["expected"]
+    inputs = {k: Partition(v) if isinstance(v, list) else v for k, v in fx["inputs"].items()}
+    routes = _routes(kind, inputs.get("search"))
+    got = {}
+    for key in [None] if None in routes else expected:
+        command, feeds = routes[key]
+        row = _COMMANDS[command]
+        payload, _ = row.handler({**inputs, **{k: inputs[f] for k, f in feeds.items()}})
+        got[key] = payload if row.part is None else payload[row.part]
+    if None not in got:
+        return got
+    if kind == "search":
+        return {key: _REPORT_READS[key](got[None]) for key in expected}
+    return _parts(Partition(got[None]).conjugate()) if inputs.get("conjugate") else got[None]
+
+
+def _cmd_verify(inputs: Inputs) -> Payload:
+    if inputs["file"] is not None:
         try:
-            text = open(args.file, encoding="utf-8").read()
+            text = Path(inputs["file"]).read_text(encoding="utf-8")
         except (OSError, UnicodeDecodeError) as exc:
             raise TwistlabError(str(exc))
     else:
@@ -366,7 +337,7 @@ def _cmd_verify(args: argparse.Namespace) -> Payload:
     failures = []
     for fx in fixtures:
         try:
-            got = _eval_fixture(fx)
+            got = _answer(fx)
         except TwistlabError as exc:
             raise type(exc)(f"fixture {fx['id']!r}: {exc}") from exc
         if got == fx["expected"]:
@@ -451,48 +422,73 @@ def _emit(payload: Any, args: argparse.Namespace) -> None:
 
 # ---------------------------------------------------------------- parser
 
-_INT = {"type": int, "required": True}
-_PARTS = {"type": _partition, "required": True, "metavar": "PARTS"}
-# argument key -> (flag, add_argument keywords); a key of _SCANS names the same input
-_ARGS: Dict[str, Tuple[str, Dict[str, Any]]] = {
-    "p": ("--p", _INT),
-    "n": ("--n", _INT),
-    "d": ("--d", _INT),
-    "r": ("--r", _INT),
-    "lambda": ("--lambda", {**_PARTS, "dest": "lam"}),
-    "lam": ("--lam", _PARTS),
-    "mu": ("--mu", _PARTS),
-    "max_b": ("--max-b", _INT),
-    "beads": ("--beads", {"type": int, "default": None}),
-    "show_symbol": ("--show-symbol", {"action": "store_true"}),
-    "file": ("file", {"nargs": "?", "default": None}),
+Check = Tuple[str, Callable[[Any], bool]]
+_INT = ({"type": int, "required": True}, ("an integer", _is_int))
+_PARTS = ({"type": _partition, "required": True, "metavar": "PARTS"},
+          ("a list of integers", lambda v: isinstance(v, list) and all(map(_is_int, v))))
+# argument key -> (flag, add_argument keywords, the check of a fixture's
+# input, None if no fixture gives it); a key of _SCANS names the same input,
+# and a key with no flag is one that only a fixture gives, and may leave out
+_ARGS: Dict[str, Tuple[Optional[str], Dict[str, Any], Optional[Check]]] = {
+    "p": ("--p", *_INT),
+    "n": ("--n", *_INT),
+    "d": ("--d", *_INT),
+    "r": ("--r", *_INT),
+    "lambda": ("--lambda", *_PARTS),
+    "lam": ("--lam", *_PARTS),
+    "mu": ("--mu", *_PARTS),
+    "max_b": ("--max-b", *_INT),
+    "beads": ("--beads", {"type": int, "default": None}, None),
+    "show_symbol": ("--show-symbol", {"action": "store_true"}, None),
+    "file": ("file", {"nargs": "?", "default": None}, None),
+    "conjugate": (None, {}, ("a boolean", lambda v: isinstance(v, bool))),
 }
-# command, or "group member" -> (help, handler, argument keys in --help order)
-_COMMANDS: Dict[str, Tuple[Optional[str], Handler, Tuple[str, ...]]] = {
-    "mull": ("apply the regular-label involution", _cmd_mull, ("p", "lambda", "show_symbol")),
-    "tau": ("label of the trivial module", _cmd_tau, ("p", "n")),
-    "hat": ("check m(hat) = (p-1)*lambda for distinct parts", _cmd_hat, ("p", "lambda")),
-    "symbol": ("rim-removal symbol columns", _cmd_symbol, ("p", "lambda")),
-    "abacus": ("bead display, core, and weight", _cmd_abacus, ("p", "lambda", "beads")),
-    "ks-ext": ("two-row Ext criterion with digit witness", _cmd_ks_ext, ("p", "lam", "mu")),
-    "murphy": ("hook endomorphisms and summands at p=2", _cmd_murphy, ("d", "r")),
-    "h0": ("fixed-point congruence test", _cmd_h0, ("p", "lambda")),
-    "specht hom": ("dimension of the hom space", _cmd_specht_hom, ("p", "lam", "mu")),
-    "specht decomposable": (
-        "search for a splitting idempotent", _cmd_specht_decomposable, ("p", "lambda")
-    ),
-    "specht h0": ("dimension of the fixed-point space", _cmd_specht_h0, ("p", "lambda")),
-    # --p first, then the scan's other inputs in _SCANS order
+
+
+class _Row(NamedTuple):
+    """A command: help line, handler and argument keys in --help order.  A row
+    with a fixture ``kind`` compares the payload's ``part`` (None: all of it)
+    with a fixture's expected value, or with its key that the row ``expects``."""
+
+    help: Optional[str]
+    handler: Handler
+    keys: Tuple[str, ...]
+    kind: Optional[str] = None
+    part: Optional[str] = None
+    expects: Optional[str] = None
+
+
+# command, or "group member" -> its row
+_COMMANDS: Dict[str, _Row] = {
+    "mull": _Row("apply the regular-label involution", _cmd_mull,
+                 ("p", "lambda", "show_symbol", "conjugate"), "mull", "mullineux"),
+    "tau": _Row("label of the trivial module", _cmd_tau, ("p", "n"), "tau"),
+    "hat": _Row("check m(hat) = (p-1)*lambda for distinct parts", _cmd_hat, ("p", "lambda")),
+    "symbol": _Row("rim-removal symbol columns", _cmd_symbol, ("p", "lambda")),
+    "abacus": _Row("bead display, core, and weight", _cmd_abacus, ("p", "lambda", "beads")),
+    "ks-ext": _Row("two-row Ext criterion with digit witness", _cmd_ks_ext, ("p", "lam", "mu"),
+                   "ks", "result"),
+    "murphy": _Row("hook endomorphisms and summands at p=2", _cmd_murphy, ("d", "r"),
+                   "murphy", "result"),
+    "h0": _Row("fixed-point congruence test", _cmd_h0, ("p", "lambda"), "h0", "result"),
+    "specht hom": _Row("dimension of the hom space", _cmd_specht_hom, ("p", "lam", "mu"),
+                       "specht", "result", "hom_dim"),
+    "specht decomposable": _Row("search for a splitting idempotent", _cmd_specht_decomposable,
+                                ("p", "lambda"), "specht", "result", "decomposable"),
+    "specht h0": _Row("dimension of the fixed-point space", _cmd_specht_h0, ("p", "lambda"),
+                      "specht", "result", "invariants"),
+    # no help line, which argparse would list empty; --p first, then the
+    # scan's other inputs in _SCANS order
     **{
-        f"search {name}": (None, _cmd_search, ("p", *(k for k in keys if k != "p")))
-        for name, (_, keys) in _SCANS.items()
+        f"search {name}": _Row(None, _cmd_search, ("p", *(k for k in keys if k != "p")), "search")
+        for name, (_, keys, _) in _SCANS.items()
     },
-    "verify": ("re-run the packaged fixture set", _cmd_verify, ("file",)),
+    "verify": _Row("re-run the packaged fixture set", _cmd_verify, ("file",)),
 }
 # group -> (help, dest of the member's name, metavar)
 _GROUPS = {
     "specht": ("linear-algebra oracles", "specht_command", "WHAT"),
-    "search": ("exhaustive scans with audited reports", "which", "SCAN"),
+    "search": ("exhaustive scans with audited reports", "search", "SCAN"),
 }
 
 
@@ -502,28 +498,28 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="twistlab", description=__doc__ and __doc__.rsplit("\n\n", 1)[0])
     # group -> its subparsers, "" for the top level; a group is added with its first member
     subparsers = {"": parser.add_subparsers(dest="command", required=True, metavar="COMMAND")}
-    for name, (help_text, handler, keys) in _COMMANDS.items():
+    for name, row in _COMMANDS.items():
         group, _, leaf = name.rpartition(" ")
         if group not in subparsers:
             group_help, dest, metavar = _GROUPS[group]
             subparsers[group] = subparsers[""].add_parser(group, help=group_help).add_subparsers(
                 dest=dest, required=True, metavar=metavar
             )
-        # a scan has no help line: argparse would list it with an empty one
-        sub = subparsers[group].add_parser(leaf, **({"help": help_text} if help_text else {}))
-        for key in keys:
-            flag, options = _ARGS[key]
-            sub.add_argument(flag, **options)
+        sub = subparsers[group].add_parser(leaf, **({"help": row.help} if row.help else {}))
+        for key in row.keys:
+            flag, options, _ = _ARGS[key]
+            if flag:
+                sub.add_argument(flag, **options)
         sub.add_argument("--format", choices=("json", "csv", "table"), default="json")
         sub.add_argument("--out", metavar="FILE", default=None)
-        sub.set_defaults(handler=handler)
+        sub.set_defaults(handler=row.handler)
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        payload, code = args.handler(args)
+        payload, code = args.handler(vars(args))
         _emit(payload, args)
     except TwistlabError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)

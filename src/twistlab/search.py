@@ -16,9 +16,10 @@ scan, an invariant and a relation on a case's twist ladder: the invariant
 (the Mullineux map, or Ext^1 of a pair) at p^a times the case, each rung
 computed at most once, when the relation first reads it.  The repeated
 twist reads one ladder for all its exponent pairs.  A twist scan refuses a p
-that is not prime before it takes a case.  ``_SCANS`` names every scan once,
-by the name of its function here; the command line and the fixture checker
-look it up each time they run it, and a twist scan reads its invariant here.
+that is not prime before it takes a case.  ``_SCANS`` names every scan once:
+its function here, its input keys and the field its hits carry.  Each is a
+row of the command line's table, which looks it up each time it runs it, for
+a command or a fixture; a new invariant is one table row plus its function.
 
 Reports are deterministic: identical parameters yield byte-identical bodies.
 Wall-clock time lives outside the body, in :attr:`SearchReport.elapsed`.
@@ -31,7 +32,7 @@ import time
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import combinations, islice
-from typing import Any, Callable, Dict, Iterable, List, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from . import __version__
 from .abacus import block_census
@@ -288,12 +289,13 @@ def census(d: int, p: int) -> SearchReport:
 
 
 # scan name -> (name of its function in this module, its arguments as input
-# keys); the command line and the fixture checker read their scans from here
-_SCANS: Dict[str, Tuple[str, Tuple[str, ...]]] = {
-    "fixed-points": ("find_twist_commuting", ("d", "p")),
-    "persistence": ("check_twist_persistence", ("d", "p")),
-    "p-image": ("find_p_image", ("d", "p")),
-    "multi-twist": ("multi_twist_scan", ("lambda", "p", "max_b")),
-    "ks-stability": ("ks_stability_scan", ("d", "p")),
-    "census": ("census", ("d", "p")),
+# keys, the field its hits carry for a search fixture: pairs, hit_lambdas or
+# None); the command line reads its scans and their fixtures from here
+_SCANS: Dict[str, Tuple[str, Tuple[str, ...], Optional[str]]] = {
+    "fixed-points": ("find_twist_commuting", ("d", "p"), "hit_lambdas"),
+    "persistence": ("check_twist_persistence", ("d", "p"), "hit_lambdas"),
+    "p-image": ("find_p_image", ("d", "p"), "hit_lambdas"),
+    "multi-twist": ("multi_twist_scan", ("lambda", "p", "max_b"), "pairs"),
+    "ks-stability": ("ks_stability_scan", ("d", "p"), "hit_lambdas"),
+    "census": ("census", ("d", "p"), None),
 }

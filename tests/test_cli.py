@@ -5,6 +5,8 @@ import json
 import subprocess
 import sys
 import time
+import warnings
+from importlib import resources
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -309,9 +311,11 @@ def _minimal_argv(name, keys):
 
 @pytest.mark.parametrize("name", list(cli._COMMANDS))
 def test_every_declared_command_reaches_its_handler(name):
-    _, handler, keys = cli._COMMANDS[name]
-    args = cli._build_parser().parse_args(_minimal_argv(name, keys))
-    assert args.handler is handler
+    row = cli._COMMANDS[name]
+    args = cli._build_parser().parse_args(_minimal_argv(name, row.keys))
+    assert args.handler is row.handler
+    # the handler reads its inputs by argument key, and every flagged key is parsed under it
+    assert {key for key in row.keys if cli._ARGS[key][0]} <= set(vars(args))
 
 
 def test_main_builds_the_parser_once_per_process(capsys, monkeypatch):
@@ -451,7 +455,7 @@ def test_scans_are_looked_up_when_they_run(capsys, monkeypatch):
     code, _, _ = run_cli(capsys, "search", "census", "--p", "3", "--d", "4")
     fixture = {"kind": "search", "inputs": {"search": "census", "d": 5, "p": 2},
                "expected": {"counterexamples": 0}}
-    assert code == 0 and cli._eval_fixture(fixture) == {"counterexamples": 0}
+    assert code == 0 and cli._answer(fixture) == {"counterexamples": 0}
     assert calls == [(4, 3), (5, 2)]
 
 
@@ -748,19 +752,112 @@ def test_verify_rejects_a_fixture_naming_an_unknown_scan(tmp_path, capsys):
     assert "'nope'" in err
 
 
-@pytest.mark.parametrize("which", ["p-image", "census"])
+_PACKAGED = {
+    fx["id"]: fx
+    for fx in json.loads(resources.files("twistlab").joinpath("data/fixtures.json").read_bytes())
+}
+# a fixture kind, or a key of a specht fixture's expected dict -> the command
+# that answers it and the payload key its expected value is compared with
+_ANSWERED_BY = {
+    "mull": ("mull", "mullineux"), "tau": ("tau", None), "ks": ("ks-ext", "result"),
+    "murphy": ("murphy", "result"), "h0": ("h0", "result"),
+    "hom_dim": ("specht hom", "result"), "end_dim": ("specht hom", "result"),
+    "decomposable": ("specht decomposable", "result"), "invariants": ("specht h0", "result"),
+}
+
+
+def _answer_on_the_command_line(capsys, fx):
+    """What the command line says for a fixture, in the shape of its expected value."""
+
+    def payload(command, inputs):
+        argv = command.split()
+        for key, value in inputs.items():
+            text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
+            argv += ["--" + key.replace("_", "-"), text]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0, argv
+        return json.loads(out)
+
+    inputs = dict(fx["inputs"])
+    if fx["kind"] == "search":
+        report = payload(f"search {inputs.pop('search')}", inputs)
+        hits = report["hits"]
+        reads = {"hit_count": lambda: len(hits),
+                 "counterexamples": lambda: len(report["counterexamples"]),
+                 "pairs": lambda: sorted([h["a"], h["b"]] for h in hits),
+                 "hit_lambdas": lambda: [h["lambda"] for h in hits]}
+        return {key: reads[key]() for key in fx["expected"]}
+    if fx["kind"] == "specht":
+        got = {}
+        for key in fx["expected"]:
+            command, part = _ANSWERED_BY[key]
+            if command == "specht hom":  # End(S^lambda) is Hom(S^lambda, S^lambda)
+                lam = inputs["lambda"]
+                mu = inputs["mu"] if key == "hom_dim" else lam
+                given = {"p": inputs["p"], "lam": lam, "mu": mu}
+            else:
+                given = inputs
+            got[key] = payload(command, given)[part]
+        return got
+    command, part = _ANSWERED_BY[fx["kind"]]
+    conjugate = inputs.pop("conjugate", False)
+    got = payload(command, inputs)
+    got = got if part is None else got[part]
+    return list(Partition(got).conjugate().parts) if conjugate else got
+
+
+def test_every_packaged_fixture_kind_is_covered():
+    kinds = {fx["kind"] for fx in _PACKAGED.values()}
+    specht_keys = {key for fx in _PACKAGED.values() if fx["kind"] == "specht"
+                   for key in fx["expected"]}
+    assert len(_PACKAGED) == 28
+    assert kinds == {row.kind for row in cli._COMMANDS.values()} - {None}
+    assert specht_keys == {"hom_dim", "end_dim", "decomposable", "invariants"}
+    assert any(fx["inputs"].get("conjugate") for fx in _PACKAGED.values())
+
+
+@pytest.mark.parametrize("which", ["p-image", "census", *_PACKAGED])
 def test_fixture_scans_match_the_command_line(tmp_path, capsys, which):
-    _, out, _ = run_cli(capsys, "search", which, "--p", "3", "--d", "9")
-    hits = len(json.loads(out)["hits"])
-    fixtures = [
-        {"id": "x", "kind": "search", "inputs": {"search": which, "d": 9, "p": 3},
-         "expected": {"hit_count": hits, "counterexamples": 0}},
-    ]
+    # a packaged fixture, or a scan fixture made from the command line's own count
+    fx = _PACKAGED.get(which)
+    if fx is None:
+        _, out, _ = run_cli(capsys, "search", which, "--p", "3", "--d", "9")
+        fx = {"id": "x", "kind": "search", "inputs": {"search": which, "d": 9, "p": 3},
+              "expected": {"hit_count": len(json.loads(out)["hits"]), "counterexamples": 0}}
+    assert _answer_on_the_command_line(capsys, fx) == fx["expected"]
     path = tmp_path / "fx.json"
-    path.write_text(json.dumps(fixtures))
+    path.write_text(json.dumps([fx]))
     code, out, _ = run_cli(capsys, "verify", str(path))
     assert code == 0
     assert json.loads(out)["passed"] == 1
+
+
+def test_verify_closes_its_file(tmp_path):
+    path = tmp_path / "fx.json"
+    path.write_text(json.dumps([_PACKAGED["tau-p5-n20"]]))
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        warnings.simplefilter("always", ResourceWarning)
+        assert main(["verify", str(path)]) == 0
+    assert [str(w.message) for w in caught] == []
+
+
+def test_specht_hom_builds_one_module_when_lam_is_mu(capsys, monkeypatch):
+    builds = []
+    build_specht = specht.build_specht
+
+    def counting(lam, p):
+        builds.append(lam)
+        return build_specht(lam, p)
+
+    monkeypatch.setattr(cli, "build_specht", counting)
+    code, out, _ = run_cli(capsys, "specht", "hom", "--p", "2", "--lam", "3,1,1", "--mu", "3,1,1")
+    assert code == 0
+    assert out == json.dumps({"dims": [6, 6], "result": 2, "method": "enumerated"}, indent=2) + "\n"
+    assert builds == [Partition((3, 1, 1))]
+    builds.clear()
+    run_cli(capsys, "specht", "hom", "--p", "2", "--lam", "3,1,1", "--mu", "2,2,1")
+    assert len(builds) == 2
 
 
 def test_console_entry_point_runs():
