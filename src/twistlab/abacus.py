@@ -195,6 +195,7 @@ def is_p_by_p(lam: Partition, p: int) -> bool:
     Equivalently, both lam and its conjugate are p times a partition; the
     diagram is tiled by p-by-p squares.
     """
+    check_modulus(p)
     if any(part % p for part in lam):
         return False
     run = 0

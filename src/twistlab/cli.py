@@ -29,7 +29,6 @@ from .criteria import (
     h0_failed_row,
     ks_ext1_witness,
     murphy_end_dim,
-    murphy_indecomposable,
     murphy_summand_count,
 )
 from .errors import TwistlabError
@@ -156,13 +155,12 @@ def _cmd_ks_ext(inputs: Inputs) -> Payload:
 
 
 def _cmd_murphy(inputs: Inputs) -> Payload:
+    end_dim = murphy_end_dim(inputs["d"], inputs["r"])
+    summands = murphy_summand_count(inputs["d"], inputs["r"])
     return {
         "inputs": {"d": inputs["d"], "r": inputs["r"]},
-        "result": {
-            "end_dim": murphy_end_dim(inputs["d"], inputs["r"]),
-            "indecomposable": murphy_indecomposable(inputs["d"], inputs["r"]),
-        },
-        "certificate": {"summands": murphy_summand_count(inputs["d"], inputs["r"])},
+        "result": {"end_dim": end_dim, "indecomposable": summands == 1},
+        "certificate": {"summands": summands},
     }, 0
 
 

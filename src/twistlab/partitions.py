@@ -9,6 +9,7 @@ strict: values are immutable, canonical (no trailing zeros) and bounded to
 
 from __future__ import annotations
 
+import operator
 from typing import Iterable, Iterator, Optional
 
 from .errors import (
@@ -40,7 +41,10 @@ class Partition:
         cleaned = []
         prev = None
         for raw in parts:
-            part = int(raw)
+            try:
+                part = operator.index(raw)
+            except TypeError:
+                raise HypothesisViolated(f"part {raw!r} is not an integer") from None
             if part < 0:
                 raise HypothesisViolated(f"negative part {part}")
             if part > _PART_MAX:
@@ -173,7 +177,8 @@ class Partition:
     __rmul__ = __mul__
 
     def hat(self, p: int) -> "Partition":
-        """Repeat each part p-1 times; defined only for distinct parts."""
+        """Repeat each part p-1 times; defined only for distinct parts and p >= 2."""
+        check_modulus(p)
         if not self.has_distinct_parts():
             raise NotDistinctParts(f"{self} has a repeated part")
         _check_rows(len(self) * (p - 1), f"hat({self}) at p={p}")

@@ -15,12 +15,13 @@ any point.
 Coordinates in B need only the dim x dim block of B on the tabloids {t} of
 the standard tableaux t.  {t} is the dominance-largest tabloid of e_t
 (James, LNM 682, section 8) and the tableaux are listed in an order that
-extends dominance, so the block is upper unitriangular over Z, invertible
-mod every p, and inverted by back-substitution.  The combinatorial layer
-(tabloid codes, generator actions, standard rows, B over Z with entries in
-{-1, 0, 1}) does not depend on p.  A module is its shape's skeleton plus p:
-the GF(p) kernels read the signed B as it is, and the skeletons, read-only
-and shared at every prime, are cached up to a fixed number of bytes.
+extends dominance, so the block is upper unitriangular over Z: its inverse
+has integer entries and is built once per shape, by back-substitution.  The
+skeleton (tabloid codes and place values, generator actions, standard rows,
+B over Z with entries in {-1, 0, 1}, that inverse) does not depend on p.  A
+module is its shape's skeleton plus p and keeps only its generator matrices
+and End; the GF(p) kernels read B as it is and the inverse mod p, and the
+skeletons, read-only and shared at every prime, are cached up to a byte budget.
 
 M^lambda is a transitive permutation module, so its fixed vectors are the
 multiples of the all-ones vector; the fixed space of S^lambda is therefore
@@ -184,12 +185,14 @@ class _Skeleton:
     gen_signs: tuple[int, int]
     b_signed: np.ndarray  # standard polytabloids over Z, entries in {-1,0,1}
     std: np.ndarray  # index of the tabloid {t} of each standard tableau t
+    std_inverse: np.ndarray  # inverse over Z of the unitriangular block b_signed[:, std]
     std_rows: np.ndarray  # row of each number 0..d-1 in each standard tabloid {t}
     tableau_signs: np.ndarray  # sgn(pi_s), where pi_s takes the first tableau to s
+    powers: np.ndarray  # place values of tabloid codes, from _code_powers
 
     def __post_init__(self):
-        arrays = (self.codes, *self.moves, self.b_signed, self.std, self.std_rows,
-                  self.tableau_signs)
+        arrays = (self.codes, *self.moves, self.b_signed, self.std, self.std_inverse,
+                  self.std_rows, self.tableau_signs, self.powers)
         for a in arrays:
             a.flags.writeable = False  # shared by every module of the shape, at every prime
         self.nbytes = sum(a.nbytes for a in arrays)
@@ -260,6 +263,26 @@ def _index_of(codes: np.ndarray, wanted: np.ndarray) -> np.ndarray:
     return found
 
 
+def _std_block_inverse(lam: Partition, block: np.ndarray) -> np.ndarray:
+    """Inverse X over Z of lam's standard-tabloid block U, in the narrowest signed dtype.
+
+    U is unitriangular with entries in {-1, 0, 1}.  From the bottom row, X[k]
+    is e_k minus U[k, j] X[j] over the few j > k with U[k, j] != 0, each X[j]
+    zero left of column j.  Entries of 2^31 and up raise Overflow: the lowest
+    row holding one summed at most dim entries below 2^31, so it is exact.
+    """
+    if np.any(np.diag(block) != 1) or np.tril(block, -1).any():
+        raise AssertionError(f"standard-tabloid block of {lam} is not unitriangular")
+    inverse = np.eye(len(block), dtype=np.int64)
+    for k in range(len(block) - 2, -1, -1):
+        later = k + 1 + np.flatnonzero(block[k, k + 1 :])
+        inverse[k, k + 1 :] = -(block[k, later].astype(np.int64) @ inverse[later, k + 1 :])
+    top = int(np.abs(inverse).max())
+    if top >= 2**31:
+        raise Overflow(f"the standard-tabloid block of {lam} has an inverse entry of {top}")
+    return inverse.astype(next(t for t in (np.int8, np.int16, np.int32) if np.iinfo(t).max >= top))
+
+
 @_SkeletonCache
 def _skeleton(parts: tuple[int, ...]) -> _Skeleton:
     lam = Partition(parts)
@@ -292,8 +315,9 @@ def _skeleton(parts: tuple[int, ...]) -> _Skeleton:
     std_rows = np.empty((dim, d), dtype=np.int8)
     std_rows[np.arange(dim)[:, None], words] = np.repeat(np.arange(len(parts)), parts)
     return _Skeleton(
-        parts, d, m, dim, codes, (moves[0], moves[1]), (signs[0], signs[1]),
-        b_signed, found[0].copy(), std_rows, _perm_parity(words),
+        parts, d, m, dim, codes, (moves[0], moves[1]), (signs[0], signs[1]), b_signed,
+        found[0].copy(), _std_block_inverse(lam, b_signed[:, found[0]]), std_rows,
+        _perm_parity(words), powers,
     )
 
 
@@ -307,7 +331,6 @@ class SpechtModule:
         self.perm_dim = skeleton.m
         self._sk = skeleton
         self.basis = skeleton.b_signed
-        self._std_inverse: Optional[np.ndarray] = None
         self._gens: Optional[list[np.ndarray]] = None
         self._end: Optional[list[np.ndarray]] = None
 
@@ -328,30 +351,11 @@ class SpechtModule:
         """Candidate coordinates c of the rows, and whether c @ basis gives them back.
 
         The rows hold residues mod p, the basis signs.  c is read off the
-        standard-tabloid columns through the inverse of the unitriangular
-        block basis[:, std]; a row outside the row space still gets some c,
-        which the recheck exposes.
+        standard-tabloid columns through the skeleton's inverse of basis[:, std]
+        mod p; a row outside the row space gets some c, which the recheck exposes.
         """
-        c = mm(vectors[:, self._sk.std], self._std_block_inverse(), self.p)
+        c = mm(vectors[:, self._sk.std], np.mod(self._sk.std_inverse, self.p), self.p)
         return c, np.array_equal(mm(c, self.basis, self.p), vectors)
-
-    def _std_block_inverse(self) -> np.ndarray:
-        """Inverse X of the unitriangular block U = basis[:, std], built on first use.
-
-        Filled from the bottom row: X[k] is e_k minus U[k, j] X[j] over the few
-        j > k with U[k, j] != 0, and each such X[j] is zero left of column j.
-        """
-        if self._std_inverse is None:
-            block = self.basis[:, self._sk.std]
-            if np.any(np.diag(block) != 1) or np.tril(block, -1).any():
-                raise AssertionError(f"standard-tabloid block of {self.lam} is not unitriangular")
-            inverse = np.eye(self.dim, dtype=np.int64)
-            for k in range(self.dim - 2, -1, -1):
-                later = k + 1 + np.flatnonzero(block[k, k + 1 :])
-                terms = block[k, later].astype(np.int64) @ inverse[later, k + 1 :]
-                inverse[k, k + 1 :] = np.mod(-terms, self.p)
-            self._std_inverse = inverse
-        return self._std_inverse
 
     def coords(self, vectors: np.ndarray) -> np.ndarray:
         """Express rows (in tabloid coordinates) in the polytabloid basis.
@@ -467,10 +471,7 @@ def _seed_space(a: SpechtModule, b: SpechtModule) -> np.ndarray:
     The column blocks are imposed on all of S^b, then the Garnir sums on
     the k survivors only, at k x dim b per relation.
     """
-    p = b.p
-    codes = b._sk.codes
-    _, powers = _code_powers(b.lam.parts)
-    rows = b._sk.std_rows
+    p, codes, powers, rows = b.p, b._sk.codes, b._sk.powers, b._sk.std_rows
 
     def imposed(values: np.ndarray, relation: list[tuple[np.ndarray, int]]) -> np.ndarray:
         # sum over the terms of sign * values at sigma{t_u}, one column per u
@@ -503,8 +504,7 @@ def _tableau_moves(a: SpechtModule, b: SpechtModule) -> np.ndarray:
     pi_s^-1(q), so all n_a x n_b codes come out of one integer product.
     """
     words = np.argsort(a._sk.std_rows, axis=1, kind="stable")
-    _, powers = _code_powers(b.lam.parts)
-    moved = powers[np.argsort(words, axis=1)] @ b._sk.std_rows.T
+    moved = b._sk.powers[np.argsort(words, axis=1)] @ b._sk.std_rows.T
     return _index_of(b._sk.codes, moved.ravel()).reshape(moved.shape)
 
 
@@ -521,7 +521,7 @@ def _hom(a: SpechtModule, b: SpechtModule) -> list[np.ndarray]:
     p = a.p
     moves = _tableau_moves(a, b)
     x = mm(seeds, b.basis, p)
-    maps = mm(x[:, moves].reshape(-1, b.dim), b._std_block_inverse(), p)
+    maps = mm(x[:, moves].reshape(-1, b.dim), np.mod(b._sk.std_inverse, p), p)
     return _spin_hom(p, a.generators(), b.generators(), maps.reshape(len(seeds), a.dim, b.dim))
 
 

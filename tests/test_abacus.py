@@ -13,7 +13,7 @@ from twistlab.abacus import (
     p_core_by_stripping,
     to_abacus,
 )
-from twistlab.errors import TooFewBeads, TooLarge
+from twistlab.errors import HypothesisViolated, TooFewBeads, TooLarge
 from twistlab.partitions import Partition, enumerate_partitions
 
 PRIMES = (2, 3, 5, 7)
@@ -101,6 +101,12 @@ def test_p_by_p_detection():
     assert is_p_by_p(Partition((6, 6, 6, 3, 3, 3)), 3)
     assert not is_p_by_p(Partition((3, 3)), 3)
     assert not is_p_by_p(Partition((4, 2)), 2)
+
+
+@pytest.mark.parametrize("p", [1, 0, -1])
+def test_p_by_p_refuses_a_modulus_below_two(p):
+    with pytest.raises(HypothesisViolated, match="at least 2"):
+        is_p_by_p(Partition((2, 2)), p)
 
 
 def test_census_covers_every_partition_once():

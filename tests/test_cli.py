@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import partitions
-from twistlab import cli, errors, mullineux, search, specht
+from twistlab import cli, criteria, errors, mullineux, search, specht
 from twistlab.cli import main
 from twistlab.partitions import Partition
 
@@ -421,6 +421,24 @@ def test_murphy_command(capsys):
     payload = json.loads(out)
     assert payload["result"] == {"end_dim": 3, "indecomposable": False}
     assert payload["certificate"] == {"summands": 2}
+
+
+def test_murphy_counts_the_summands_once(capsys, monkeypatch):
+    # the certificate and the indecomposable flag read one count
+    counted = []
+    summand_count = criteria.murphy_summand_count
+
+    def counting(d, r):
+        counted.append((d, r))
+        return summand_count(d, r)
+
+    monkeypatch.setattr(cli, "murphy_summand_count", counting)
+    monkeypatch.setattr(criteria, "murphy_summand_count", counting)
+    code, out, _ = run_cli(capsys, "murphy", "--d", "13", "--r", "4")
+    assert code == 0 and counted == [(13, 4)]
+    payload = {"inputs": {"d": 13, "r": 4}, "result": {"end_dim": 3, "indecomposable": False},
+               "certificate": {"summands": 2}}
+    assert out == json.dumps(payload, indent=2) + "\n"
 
 
 def test_specht_subcommands(capsys):

@@ -1,10 +1,13 @@
+import re
 from functools import lru_cache
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
 from conftest import conjugate_by_cells, partitions, partitions_by_prefix
 from twistlab.errors import (
+    HypothesisViolated,
     NonPartitionDifference,
     NotDistinctParts,
     Overflow,
@@ -35,6 +38,18 @@ def test_basic_accessors():
 def test_normalization_drops_zeros():
     assert Partition((3, 1, 0, 0)).parts == (3, 1)
     assert Partition(()).parts == ()
+
+
+@pytest.mark.parametrize("part", [2.7, 2.0, "3", None, np.float64(2.0)])
+def test_rejects_a_part_that_is_not_an_integer(part):
+    with pytest.raises(HypothesisViolated, match=re.escape(f"part {part!r} is not an integer")):
+        Partition([part, 1])
+
+
+def test_integer_like_parts_are_read_as_ints():
+    lam = Partition([np.int64(3), np.int8(2), True])
+    assert lam.parts == (3, 2, 1)
+    assert all(type(part) is int for part in lam)
 
 
 def test_rejects_increasing_parts():
@@ -147,6 +162,12 @@ def test_hat_repeats_each_part():
     assert Partition((4, 2, 1)).hat(3).parts == (4, 4, 2, 2, 1, 1)
     with pytest.raises(NotDistinctParts):
         Partition((2, 2)).hat(3)
+
+
+@pytest.mark.parametrize("p", [1, 0, -1])
+def test_hat_refuses_a_modulus_below_two(p):
+    with pytest.raises(HypothesisViolated, match="at least 2"):
+        Partition((2, 1)).hat(p)
 
 
 def test_scale_overflow_guard():

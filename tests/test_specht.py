@@ -557,7 +557,8 @@ def _skeleton_arrays(sk):
 def test_skeleton_nbytes_counts_every_array():
     sk = specht._skeleton((3, 2, 1))
     arrays = _skeleton_arrays(sk)
-    assert len(arrays) == 7  # codes, both moves, b_signed, std, std_rows, tableau_signs
+    # codes, both moves, b_signed, std, std_inverse, std_rows, tableau_signs, powers
+    assert len(arrays) == 9
     assert sk.nbytes == sum(a.nbytes for a in arrays)
 
 
@@ -591,20 +592,24 @@ def test_std_block_generators_match_full_basis_elimination():
 
 
 def _check_std_block(module):
-    """The block is unitriangular and its back-substituted inverse is the oracle's."""
+    """The block is unitriangular and its inverse over Z, mod p, is the oracle's."""
     lam, p = module.lam, module.p
     block = module.basis[:, module._sk.std]
     assert np.all(np.diag(block) == 1), (lam, p)
     assert np.array_equal(np.triu(block), block), (lam, p)
     _, trans, piv = rref_with_transform(block, p)
     assert len(piv) == module.dim, (lam, p)
-    inverse = module._std_block_inverse()
-    assert inverse.dtype == np.int64 and np.array_equal(inverse, trans), (lam, p)
+    inverse = module._sk.std_inverse
+    assert inverse.dtype == np.int8 and not inverse.flags.writeable, (lam, p)
+    assert np.array_equal(np.mod(inverse, p), trans), (lam, p)
 
 
 def test_standard_tabloid_block_is_unitriangular():
     for d in range(1, 9):
         for lam in enumerate_partitions(d, "all"):
+            sk = specht._skeleton(lam.parts)
+            block = sk.b_signed[:, sk.std].astype(np.int64)
+            assert np.array_equal(block @ sk.std_inverse, np.eye(sk.dim, dtype=np.int64)), lam
             for p in (2, 3, 5):
                 _check_std_block(build_specht(lam, p))
 
@@ -615,11 +620,53 @@ def test_std_block_inverse_of_a_large_block_matches_the_oracle():
 
 @pytest.mark.parametrize("row, col, value", [(1, 0, 1), (0, 0, 2), (2, 2, 0)])
 def test_std_block_inverse_refuses_a_block_that_is_not_unitriangular(row, col, value):
-    module = build_specht(Partition((3, 2)), 3)
-    module.basis = module.basis.copy()  # corrupt a private copy, never the shared B
-    module.basis[row, module._sk.std[col]] = value
+    lam = Partition((3, 2))
+    sk = specht._skeleton(lam.parts)
+    block = sk.b_signed[:, sk.std].copy()  # corrupt a private copy, never the shared B
+    block[row, col] = value
     with pytest.raises(AssertionError, match="not unitriangular"):
-        module._std_block_inverse()
+        specht._std_block_inverse(lam, block)
+
+
+@pytest.mark.parametrize(
+    "dim, dtype", [(8, np.int8), (9, np.int16), (17, np.int32), (32, np.int32)]
+)
+def test_std_block_inverse_takes_the_narrowest_dtype(dim, dtype):
+    # U = I - N, N all ones above the diagonal, has inverse entries 2^(j-i-1) above it
+    block = np.eye(dim, dtype=np.int8) - np.triu(np.ones((dim, dim), dtype=np.int8), 1)
+    inverse = specht._std_block_inverse(Partition((dim,)), block)
+    i, j = np.indices((dim, dim))
+    want = np.where(j > i, 2.0 ** (j - i - 1), i == j)
+    assert inverse.dtype == dtype and np.array_equal(inverse, want)
+
+
+def test_std_block_inverse_refuses_an_entry_of_two_to_the_31():
+    # the corner of the inverse of I - N at dim 33 is 2^31; at dim 80 later sums wrap int64
+    for dim in (33, 80):
+        block = np.eye(dim, dtype=np.int8) - np.triu(np.ones((dim, dim), dtype=np.int8), 1)
+        with pytest.raises(Overflow, match="block of 3,2 has an inverse entry"):
+            specht._std_block_inverse(Partition((3, 2)), block)
+
+
+def test_h0_dim_inverts_each_standard_block_once_with_the_prime_outermost(monkeypatch):
+    inverted = []
+    build = specht._std_block_inverse
+
+    def counted(lam, block):
+        inverted.append(lam.parts)
+        return build(lam, block)
+
+    monkeypatch.setattr(specht, "_std_block_inverse", counted)
+    specht._skeleton.cache_clear()
+    shapes = set()
+    for p in (2, 3, 5):
+        for d in range(1, 7):
+            for lam in enumerate_partitions(d, "all"):
+                h0_dim(lam, p)
+                shapes.add(min(lam, lam.conjugate(), key=specht.perm_module_dim).parts)
+    assert sorted(inverted) == sorted(shapes)
+    module = build_specht(Partition((3, 2)), 5)
+    assert not hasattr(module, "_std_inverse") and not hasattr(module, "_std_block_inverse")
 
 
 def test_coords_rejects_a_row_outside_the_module():
