@@ -11,6 +11,12 @@ is cast to int64 and reduced there by integer remainder, in place: numpy's
 float remainder costs several times the GEMM itself on tall products.
 Matrices are plain 2-d ndarrays; the helpers never mutate their arguments.
 
+A product against a wide right operand, such as a Specht module's
+polytabloid matrix with one column per tabloid, runs in column panels
+(mm_panels): the left operand is cast to float once, and each panel holds
+about _PANEL_ENTRIES entries of the right operand, so the float copies and
+the int64 result of one panel are all that a product adds to memory.
+
 Elimination has one path, Echelon: a head of at most 128 rows is reduced
 column by column in an int64 copy, and one mm clears its pivots from the
 other rows.  rref and nullspace are thin fronts over it.
@@ -18,9 +24,24 @@ other rows.  rref and nullspace are thin fronts over it.
 
 from __future__ import annotations
 
+from typing import Iterator
+
 import numpy as np
 
 from .errors import Overflow
+
+# entries of the right operand in one panel of mm_panels, and the fewest
+# columns a panel has: narrower panels make a tall operand's products slow
+_PANEL_ENTRIES = 2**16
+_PANEL_FLOOR = 256
+
+
+def _exact_dtype(inner: int, p: int) -> type:
+    """The narrowest float that sums inner products of residues mod p exactly."""
+    worst = inner * (p - 1) ** 2
+    if worst >= 2**53:
+        raise Overflow(f"an inner dimension of {inner} mod {p} passes the float64 mantissa")
+    return np.float32 if worst < 2**24 else np.float64
 
 
 def mm(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
@@ -30,15 +51,25 @@ def mm(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     cast to int64 is exact; integer % then maps negative sums into [0, p)
     at a fraction of the cost of np.mod on floats.
     """
-    inner = np.shape(a)[1]
-    worst = inner * (p - 1) ** 2
-    if worst >= 2**53:
-        raise Overflow(f"an inner dimension of {inner} mod {p} passes the float64 mantissa")
-    dtype = np.float32 if worst < 2**24 else np.float64
+    dtype = _exact_dtype(np.shape(a)[1], p)
     c = np.dot(np.asarray(a, dtype=dtype), np.asarray(b, dtype=dtype))
     r = c.astype(np.int64)
     r %= p
     return r
+
+
+def mm_panels(a: np.ndarray, b: np.ndarray, p: int) -> Iterator[tuple[slice, np.ndarray]]:
+    """The product a @ b mod p one column panel at a time: (columns of b, mm of that panel).
+
+    a is cast to float once; each panel is then one mm, so no temporary is
+    wider than a panel.  A caller that stops early skips the later panels.
+    """
+    inner, width = np.shape(b)
+    left = np.asarray(a, dtype=_exact_dtype(inner, p))
+    step = max(_PANEL_FLOOR, _PANEL_ENTRIES // max(inner, 1))
+    for start in range(0, width, step):
+        cols = slice(start, min(start + step, width))
+        yield cols, mm(left, b[:, cols], p)
 
 
 def rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:

@@ -22,6 +22,10 @@ B over Z with entries in {-1, 0, 1}, that inverse) does not depend on p.  A
 module is its shape's skeleton plus p and keeps only its generator matrices
 and End; the GF(p) kernels read B as it is and the inverse mod p, and the
 skeletons, read-only and shared at every prime, are cached up to a byte budget.
+Every product against B (the coordinate recheck, the seed values of a Hom
+space and its seeds in tabloid coordinates) runs over column panels of
+bounded size, and what is kept across panels is stored as int8 residues, so
+no dim x m array other than B itself is ever built.
 
 M^lambda is a transitive permutation module, so its fixed vectors are the
 multiples of the all-ones vector; the fixed space of S^lambda is therefore
@@ -51,6 +55,7 @@ tabloids.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import os
@@ -61,7 +66,7 @@ from typing import Callable, Iterator, Optional
 import numpy as np
 
 from .errors import Overflow, SizeMismatch, TooLarge, TwistlabError, check_prime
-from .gf import Echelon, mm, nullspace, rref
+from .gf import Echelon, mm, mm_panels, nullspace, rref
 from .partitions import Partition
 
 DEFAULT_MAX_DIM = 100_000
@@ -72,7 +77,8 @@ _MAX_DEGREE = 62
 # up to degree 10 (about 51 MB) fits, so a loop with the prime outermost
 # builds each shape once
 _SKELETON_CACHE_BYTES = 64 * 2**20
-# the generator recheck reduces gathered int8 rows of B in place: p - 1 must fit
+# residues are kept as int8: the generator recheck reduces gathered rows of B
+# in place, and seed values and panel products are stored so; p - 1 must fit
 _MAX_PRIME = 127
 # is_decomposable tests p**e elements of an e-dimensional End, e**3 steps
 # each, and refuses past this many steps (about 0.6 s at worst)
@@ -339,41 +345,66 @@ class SpechtModule:
 
     # -- permutation action on the tabloid coordinates ------------------
 
-    def _permuted_basis(self, which: int) -> np.ndarray:
-        """Generator ``which`` applied to every row of the basis, as residues mod p."""
-        moved = np.take(self.basis, self._sk.moves[which], axis=1)
+    def _permuted_basis(self, which: int, cols: slice | np.ndarray = slice(None)) -> np.ndarray:
+        """Generator ``which`` applied to every row of the basis, as residues mod p,
+        at the tabloid columns ``cols`` (an index array or a slice)."""
+        moved = np.take(self.basis, self._sk.moves[which][cols], axis=1)
         moved += (moved >> 7) & self.p  # adds p where an entry is -1
         return moved
 
+    def _on_tabloids(self, c: np.ndarray) -> np.ndarray:
+        """c @ basis mod p as int8, the rows with coordinates c in tabloid coordinates."""
+        out = np.empty((len(c), self.perm_dim), dtype=np.int8)
+        for cols, panel in mm_panels(c, self.basis, self.p):
+            out[:, cols] = panel
+        return out
+
     # -- coordinates in the polytabloid basis -----------------------------
 
-    def _express(self, vectors: np.ndarray) -> tuple[np.ndarray, bool]:
-        """Candidate coordinates c of the rows, and whether c @ basis gives them back.
+    def _express(self, columns: Callable[..., np.ndarray]) -> tuple[np.ndarray, bool]:
+        """Candidate coordinates c of some rows, and whether c @ basis gives them back.
 
-        The rows hold residues mod p, the basis signs.  c is read off the
-        standard-tabloid columns through the skeleton's inverse of basis[:, std]
-        mod p; a row outside the row space gets some c, which the recheck exposes.
+        columns(cols) gives the rows at the tabloid columns cols, an index
+        array or a slice, as residues mod p; the basis holds signs.  c is read
+        off the standard-tabloid columns through the skeleton's inverse of
+        basis[:, std] mod p; a row outside the row space gets some c, which the
+        recheck exposes.  The recheck compares every column, one panel of
+        c @ basis at a time, and stops at the first panel that differs.
         """
-        c = mm(vectors[:, self._sk.std], np.mod(self._sk.std_inverse, self.p), self.p)
-        return c, np.array_equal(mm(c, self.basis, self.p), vectors)
+        c = mm(columns(self._sk.std), np.mod(self._sk.std_inverse, self.p), self.p)
+        inside = all(np.array_equal(panel, columns(cols))
+                     for cols, panel in mm_panels(c, self.basis, self.p))
+        return c, inside
 
     def coords(self, vectors: np.ndarray) -> np.ndarray:
         """Express rows (in tabloid coordinates) in the polytabloid basis.
 
         Uses only the dim x dim standard-tabloid block of the basis, then
-        rechecks the product against the input; raises TwistlabError for a
-        row outside the module.
+        rechecks the product against the input; raises SizeMismatch unless
+        the rows form a 2-d array with one column per tabloid, and
+        TwistlabError for a row outside the module.
         """
-        c, inside = self._express(vectors)
+        vectors = np.asarray(vectors)
+        if vectors.ndim != 2 or vectors.shape[1] != self.perm_dim:
+            raise SizeMismatch(
+                f"coords takes rows of {self.perm_dim} tabloid entries, not shape {vectors.shape}"
+            )
+        return self._coords(lambda cols: vectors[:, cols])
+
+    def _coords(self, columns: Callable[..., np.ndarray]) -> np.ndarray:
+        c, inside = self._express(columns)
         if not inside:
             raise TwistlabError("vector outside the module row space")
         return c
 
     def generators(self) -> list[np.ndarray]:
         """Matrices of (1 2) and (1 2 ... d) acting on the right: row i holds the
-        coordinates of e_i . g = g^-1 e_i, so the matrix of gh is G_g G_h."""
+        coordinates of e_i . g = g^-1 e_i, so the matrix of gh is G_g G_h.
+
+        The permuted basis is gathered one column panel at a time, as the
+        recheck reads it, so it is never held whole."""
         if self._gens is None:
-            self._gens = [self.coords(self._permuted_basis(k)) for k in (0, 1)]
+            self._gens = [self._coords(functools.partial(self._permuted_basis, k)) for k in (0, 1)]
         return self._gens
 
     def generator_signs(self) -> tuple[int, int]:
@@ -387,7 +418,8 @@ class SpechtModule:
         The fixed vectors of the transitive permutation module M^lambda are
         the multiples of the all-ones vector, so this is exact.
         """
-        _, inside = self._express(np.ones((1, self.perm_dim), dtype=np.int64))
+        ones = np.ones((1, self.perm_dim), dtype=np.int8)
+        _, inside = self._express(lambda cols: ones[:, cols])
         return int(inside)
 
 
@@ -486,7 +518,7 @@ def _seed_space(a: SpechtModule, b: SpechtModule) -> np.ndarray:
         if cut.rank == b.dim:
             return cut.basis[:0]
     survivors = cut.kernel()
-    values = mm(survivors, b.basis, p)
+    values = b._on_tabloids(survivors)
     cut = Echelon(p, len(survivors))
     for relation in _garnir_relations(a.lam.parts):
         cut.add(imposed(values, relation).T)
@@ -520,7 +552,7 @@ def _hom(a: SpechtModule, b: SpechtModule) -> list[np.ndarray]:
         return []
     p = a.p
     moves = _tableau_moves(a, b)
-    x = mm(seeds, b.basis, p)
+    x = b._on_tabloids(seeds)
     maps = mm(x[:, moves].reshape(-1, b.dim), np.mod(b._sk.std_inverse, p), p)
     return _spin_hom(p, a.generators(), b.generators(), maps.reshape(len(seeds), a.dim, b.dim))
 
@@ -657,7 +689,8 @@ def h0_dim(lam: Partition, p: int) -> int:
     for s = pi_s t.  So the fixed space is nonzero exactly when the forced f
     with f(e_t) = 1 satisfies G f = sgn(g) f for both generator matrices G.
     The cost is building the two generator matrices (each a dim x dim by
-    dim x m coordinate recheck) plus two dim x dim by dim x 1 products.
+    dim x m coordinate recheck, run one column panel of B at a time) plus two
+    dim x dim by dim x 1 products.
     """
     _check_degree(lam)
     if perm_module_dim(lam) <= perm_module_dim(lam.conjugate()):

@@ -4,7 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import rank, rref as oracle_rref
 from twistlab.errors import Overflow
-from twistlab.gf import Echelon, mm, nullspace, rref
+from twistlab import gf
+from twistlab.gf import Echelon, mm, mm_panels, nullspace, rref
 
 
 def random_matrix(rng, rows, cols, p):
@@ -74,6 +75,47 @@ def test_mm_refuses_a_product_past_the_float64_mantissa():
     p, inner = 1_000_003, 10_000
     with pytest.raises(Overflow):
         mm(np.ones((1, inner), dtype=np.int64), np.ones((inner, 1), dtype=np.int64), p)
+
+
+@pytest.mark.parametrize("rows, inner, width", [(3, 4, 1000), (5, 300, 700), (2, 2**17, 3)])
+def test_mm_panels_tile_the_product_and_cast_the_left_operand_once(monkeypatch, rows, inner, width):
+    p = 5
+    rng = np.random.default_rng(rows)
+    a = random_matrix(rng, rows, inner, p)
+    b = random_matrix(rng, inner, width, p).astype(np.int8) - 2  # signs and residues, as B
+    lefts = []
+
+    def recorded(left, panel, q):
+        lefts.append(left)
+        return mm(left, panel, q)
+
+    monkeypatch.setattr(gf, "mm", recorded)
+    panels = list(mm_panels(a, b, p))
+    step = max(gf._PANEL_FLOOR, gf._PANEL_ENTRIES // inner)
+    assert [cols for cols, _ in panels] == [
+        slice(s, min(s + step, width)) for s in range(0, width, step)
+    ]
+    assert np.array_equal(np.hstack([panel for _, panel in panels]), mm(a, b, p))
+    assert lefts[0].dtype == np.float32 and all(left is lefts[0] for left in lefts)
+    assert len(lefts) == len(panels) == -(-width // step)
+
+
+def test_mm_panels_share_the_mantissa_check_with_mm(monkeypatch):
+    p, inner = 1_000_003, 10_000
+    with pytest.raises(Overflow):
+        next(mm_panels(np.ones((1, inner), dtype=np.int64), np.ones((inner, 1), dtype=np.int64), p))
+    dtypes = []
+
+    def recorded(left, panel, q):
+        dtypes.append(left.dtype)
+        return mm(left, panel, q)
+
+    monkeypatch.setattr(gf, "mm", recorded)
+    for inner in (2**24 // 126**2, 2**24 // 126**2 + 1):  # sums up to 2^24 - 1, then past it
+        a, b = np.full((1, inner), 126), np.full((inner, 2), 126)
+        (_, panel), = mm_panels(a, b, 127)
+        assert panel.tolist() == [[inner * 126**2 % 127] * 2]
+    assert dtypes == [np.float32, np.float64]
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 127])

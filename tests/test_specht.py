@@ -1,6 +1,7 @@
 import functools
 import itertools
 import sys
+import tracemalloc
 from dataclasses import fields
 from math import comb, factorial
 
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import rank, rref_with_transform
-from twistlab import specht
+from twistlab import gf, specht
 from twistlab.criteria import h0_specht_nonzero
 from twistlab.errors import NotPrime, Overflow, SizeMismatch, TooLarge, TwistlabError
 from twistlab.gf import Echelon, mm, nullspace, rref
@@ -675,6 +676,90 @@ def test_coords_rejects_a_row_outside_the_module():
     outside[0, module._sk.std[0]] = 1
     with pytest.raises(TwistlabError, match="outside the module"):
         module.coords(outside)
+
+
+@pytest.mark.parametrize(
+    "shape", [(6,), (1, 5), (1, 7), (1, 6 + 2**16), (1, 1, 6)],
+    ids=["1-d", "narrower", "wider", "wider-by-a-panel", "3-d"],
+)
+def test_coords_refuses_rows_of_the_wrong_shape(shape):
+    module = build_specht(Partition((5, 1)), 3)  # 6 tabloids
+    assert module.perm_dim == 6
+    with pytest.raises(SizeMismatch, match="tabloid entries"):
+        module.coords(np.zeros(shape, dtype=np.int64))
+
+
+def _one_column_panels(monkeypatch):
+    monkeypatch.setattr(gf, "_PANEL_ENTRIES", 1)
+    monkeypatch.setattr(gf, "_PANEL_FLOOR", 1)
+
+
+def _module_answers(lam, p):
+    module = build_specht(lam, p)
+    return (
+        module.generators(), invariants_dim(module), h0_dim(lam, p), end_ring(module),
+        is_decomposable(module),
+    )
+
+
+def _same(left, right):
+    if isinstance(left, (list, tuple)):
+        return len(left) == len(right) and all(map(_same, left, right))
+    return np.array_equal(left, right)
+
+
+def test_panel_edges_cannot_change_an_answer(monkeypatch):
+    cases = [
+        (lam, p) for p in (2, 3, 5) for d in range(1, 7) for lam in enumerate_partitions(d, "all")
+    ]
+    homs = [((3, 1, 1), (2, 1, 1, 1)), ((7, 1, 1), (3, 1, 1, 1, 1, 1, 1))]
+
+    def hom_answers():
+        return [hom_space(build_specht(Partition(a), 3), build_specht(Partition(b), 3))
+                for a, b in homs]
+
+    default = [_module_answers(lam, p) for lam, p in cases], hom_answers()
+    _one_column_panels(monkeypatch)
+    assert next(gf.mm_panels(np.ones((2, 3)), np.ones((3, 4)), 2))[0] == slice(0, 1)
+    narrow = [_module_answers(lam, p) for lam, p in cases], hom_answers()
+    for (lam, p), want, got in zip(cases, default[0], narrow[0]):
+        assert _same(want, got), (lam, p)
+    assert _same(default[1], narrow[1])
+
+
+@pytest.mark.parametrize("one_column", [False, True])
+@pytest.mark.parametrize("parts", [(3, 2), (2, 2, 1, 1), (4, 3, 1, 1)])
+def test_coords_rechecks_up_to_the_last_tabloid(monkeypatch, one_column, parts):
+    # a polytabloid changed only at the last tabloid, or only at the last
+    # tabloid off the standard block (so its coordinates come out right), is
+    # caught by the last panel of the recheck
+    if one_column:
+        _one_column_panels(monkeypatch)
+    module = build_specht(Partition(parts), 3)
+    row = np.mod(module.basis[-1:], 3).astype(np.int64)
+    assert np.array_equal(module.coords(row), np.eye(1, module.dim, module.dim - 1))
+    off_std = np.setdiff1d(np.arange(module.perm_dim), module._sk.std)
+    for col in (module.perm_dim - 1, off_std[-1]):
+        outside = row.copy()
+        outside[0, col] = (outside[0, col] + 1) % 3
+        with pytest.raises(TwistlabError, match="outside the module"):
+            module.coords(outside)
+
+
+@pytest.mark.parametrize("parts, p", [((7, 1, 1, 1, 1), 2), ((3, 1, 1, 1, 1, 1, 1), 3)])
+def test_generators_allocate_no_dim_by_tabloids_temporary(parts, p):
+    # B is dim x m int8 (1.7 MB for both shapes); a float32 or int64 copy of
+    # it, or of the permuted basis, would pass the bound several times over
+    module = build_specht(Partition(parts), p)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        module.generators()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert module.basis.nbytes > 1.5e6
+    assert peak - base < 4 * 2**20
 
 
 def _record_skeleton_shapes(monkeypatch):
